@@ -922,7 +922,7 @@ let run_dag_bench ~quick =
     !best
   in
   let bag_s = time (fun () -> EF.Wdeq.wdeq bag) in
-  let dag_s = time (fun () -> EF.Dag.wdeq dag) in
+  let dag_s = time (fun () -> EF.Wdeq.wdeq dag) in
   let ratio = if bag_s > 0. then dag_s /. bag_s else nan in
   print_endline "================================================================";
   print_endline " Precedence subsystem: layered DAG churn and frontier policy (BENCH_6.json)";

@@ -470,9 +470,9 @@ struct
     }
 
   (* DESIGN §15: on an edge-free instance the frontier policies must be
-     bit-identical to the independent-bag WDEQ/DEQ (the Dag simulator
-     dispatches to that code path, so equality is exact — no
-     tolerance). *)
+     bit-identical to the independent-bag WDEQ/DEQ (both run
+     Wdeq.simulate, which takes the bag path without edges, so equality
+     is exact — no tolerance). *)
   let dag_zero_edge =
     { info = dag_zero_edge_info;
       check =

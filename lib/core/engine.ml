@@ -24,7 +24,6 @@ module Make (F : Mwct_field.Field.S) = struct
   module Water_filling = Water_filling.Make (F)
   module Greedy = Greedy.Make (F)
   module Wdeq = Wdeq.Make (F)
-  module Dag = Dag.Make (F)
   module Lower_bounds = Lower_bounds.Make (F)
   module Preemption = Preemption.Make (F)
   module Integerize = Integerize.Make (F)

@@ -310,46 +310,6 @@ module Make (F : Mwct_field.Field.S) = struct
       (topo_order i);
     lvl
 
-  (** The ready frontier under a completion predicate: tasks not yet
-      completed whose parents have all completed, in index order. *)
-  let ready_frontier (i : instance) ~(completed : int -> bool) : int list =
-    let ready k =
-      (not (completed k)) && Array.for_all completed i.tasks.(k).deps
-    in
-    List.filter ready (List.init (num_tasks i) Fun.id)
-
-  (** Transitive weight of every task: its own weight plus the weight
-      of every (transitive) descendant, each descendant counted once —
-      the weight a dormant subtree adds to its currently-alive
-      ancestors in the precedence-aware WDEQ variant
-      (Garg–Gupta–Kumar–Singla, arXiv:1905.02133). O(n·E) via one
-      ancestor walk per task; dependency graphs are sparse. *)
-  let transitive_weight (i : instance) : num array =
-    let n = num_tasks i in
-    let tw = Array.map (fun t -> t.weight) i.tasks in
-    let mark = Array.make n false in
-    for j = 0 to n - 1 do
-      if i.tasks.(j).deps <> [||] then begin
-        Array.fill mark 0 n false;
-        (* collect the strict ancestors of [j], each once *)
-        let rec up k =
-          Array.iter
-            (fun p ->
-              if not mark.(p) then begin
-                mark.(p) <- true;
-                up p
-              end)
-            i.tasks.(k).deps
-        in
-        up j;
-        let wj = i.tasks.(j).weight in
-        for p = 0 to n - 1 do
-          if mark.(p) then tw.(p) <- F.add tw.(p) wj
-        done
-      end
-    done;
-    tw
-
   (** The height [h_i = V_i / s_i(min(δ_i, P))] of task [i]
       (Definition 6; [V_i / min(δ_i, P)] under the linear law). *)
   let height (i : instance) k = F.div i.tasks.(k).volume (max_rate i k)
@@ -358,12 +318,13 @@ module Make (F : Mwct_field.Field.S) = struct
       descendants [j] of each task — the weighted, speedup-curve-aware
       work ({!height}, so curves and capacity clamps price in) that a
       task's completion unlocks. This is the static term of the
-      remaining-work transitive weighting in {!Dag.Make.simulate}:
+      remaining-work transitive weighting in {!Wdeq.Make.simulate}:
       descendants of a ready task cannot start before it completes, so
       their heights never drain while the term is in use. Unit [w_j]
       with [~use_weights:false], so the unweighted variant ranks by
       remaining descendant work rather than raw descendant counts.
-      Same O(n·E) ancestor walk as {!transitive_weight}. *)
+      O(n·E) via one ancestor walk per task; dependency graphs are
+      sparse. *)
   let gated_work ?(use_weights = true) (i : instance) : num array =
     let n = num_tasks i in
     let gw = Array.make n F.zero in

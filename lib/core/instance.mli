@@ -80,15 +80,6 @@ module Make (F : Mwct_field.Field.S) : sig
   (** DAG level of every task ([0] = no parents). *)
   val levels : Types.Make(F).instance -> int array
 
-  (** Tasks not yet completed whose parents have all completed, in
-      index order. *)
-  val ready_frontier : Types.Make(F).instance -> completed:(int -> bool) -> int list
-
-  (** Per-task transitive weight: own weight plus the weight of every
-      transitive descendant, each counted once
-      (Garg–Gupta–Kumar–Singla, arXiv:1905.02133). *)
-  val transitive_weight : Types.Make(F).instance -> F.t array
-
   (** Height [h_k = V_k / max_rate k] (Definition 6;
       [V_k / min(δ_k, P)] under the linear law). *)
   val height : Types.Make(F).instance -> int -> F.t
@@ -96,7 +87,7 @@ module Make (F : Mwct_field.Field.S) : sig
   (** Per-task gated work: [Σ w_j · h_j] over each task's strict
       transitive descendants ([h_j] from {!height}, so speedup-curve-
       aware); unit [w_j] with [~use_weights:false]. The static term of
-      the remaining-work transitive weighting in {!Dag.Make}. *)
+      the remaining-work transitive weighting in {!Wdeq.Make.simulate}. *)
   val gated_work : ?use_weights:bool -> Types.Make(F).instance -> F.t array
 
   (** Smith ratio [V_k / w_k]. *)

@@ -9,21 +9,21 @@
     {b Share computation.} The fixpoint of Algorithm 1 is a monotone
     threshold in the saturation ratio [ρ_i = δ_i / w_i]: a task is
     clipped at its cap iff [ρ_i < r/w] where [r]/[w] are the residual
-    processors/weight of the unclipped pool. Sorting the alive tasks by
-    [ρ] once, the clipped set is a prefix of that order and the
-    frontier is found by binary search over prefix sums of caps and
-    weights — [O(log n)] per event after an [O(n log n)] sort — instead
-    of the seed's repeated [List.partition] fixpoint ([O(n²)] per
-    event). See DESIGN.md §6 for the monotonicity argument.
+    processors/weight of the unclipped pool. Over a pool sorted by [ρ]
+    the clipped set is a prefix, found by binary search over prefix
+    sums of caps and weights ({!frontier}, the one generic copy of
+    this search in the library; DESIGN.md §6.1) instead of the seed's
+    repeated [List.partition] fixpoint ([O(n²)] per event).
 
     The module {e simulates} the policy on a clairvoyant instance
     (volumes are used only to find the next completion event, exactly
     as a real execution would reveal it) and records the diagnostics
     needed to check Lemma 2's bound
-    [TC_WD(I) <= 2·(A(I[VF̄]) + H(I[VF]))]. Since [ρ] never changes
-    during a run, {!simulate} sorts once and replays the frontier
-    search per completion event: a full run is [O(n²)], dominated by
-    emitting the (sparse) per-column shares. *)
+    [TC_WD(I) <= 2·(A(I[VF̄]) + H(I[VF]))]. With plain weights [ρ] never
+    changes during a run, so {!simulate} sorts once and replays the
+    frontier search per completion event: a full run is [O(n²)],
+    dominated by emitting the (sparse) per-column shares. On a
+    precedence DAG the pool is the ready frontier (DESIGN.md §15). *)
 
 module Make (F : Mwct_field.Field.S) = struct
   module T = Types.Make (F)
@@ -62,18 +62,17 @@ module Make (F : Mwct_field.Field.S) = struct
     let w0 = List.fold_left (fun acc (_, wi, _) -> F.add acc wi) F.zero alive in
     go alive [] p w0
 
-  (* Saturation-frontier kernel over parallel arrays already sorted by
-     [δ/w] ascending: [ws]/[ds] hold the weights/caps of the [m] alive
-     tasks, [pd]/[pw] are scratch of length >= m+1. Writes each task's
-     share into [out] (indexed like [ws]/[ds]). *)
-  let frontier_shares ~p ~m ws ds pd pw (out : F.t array) =
+  (** The clipping frontier over one pool listed in [δ/w] order — the
+      library's one generic share kernel (see the interface). *)
+  let frontier ~r ~w ~m ~(idx : int array) ~(weight : F.t array) ~(cap : F.t array) ~pd ~pw
+      ~(share : F.t array) =
     pd.(0) <- F.zero;
     pw.(0) <- F.zero;
     for k = 0 to m - 1 do
-      pd.(k + 1) <- F.add pd.(k) ds.(k);
-      pw.(k + 1) <- F.add pw.(k) ws.(k)
+      let i = idx.(k) in
+      pd.(k + 1) <- F.add pd.(k) cap.(i);
+      pw.(k + 1) <- F.add pw.(k) weight.(i)
     done;
-    let total_w = pw.(m) in
     (* P(k): with the first k tasks clipped at their caps, the next
        task (if any) is unclipped — equivalently the fixpoint's clipped
        set has size <= k. P is monotone in k, so binary search finds
@@ -81,8 +80,9 @@ module Make (F : Mwct_field.Field.S) = struct
     let sat_ok k =
       k = m
       ||
-      let r = F.sub p pd.(k) and w = F.sub total_w pw.(k) in
-      F.sign w <= 0 || F.compare (F.mul ds.(k) w) (F.mul ws.(k) r) >= 0
+      let i = idx.(k) in
+      let r' = F.sub r pd.(k) and w' = F.sub w pw.(k) in
+      F.sign w' <= 0 || F.compare (F.mul cap.(i) w') (F.mul weight.(i) r') >= 0
     in
     let lo = ref 0 and hi = ref m in
     while !lo < !hi do
@@ -90,75 +90,94 @@ module Make (F : Mwct_field.Field.S) = struct
       if sat_ok mid then hi := mid else lo := mid + 1
     done;
     let ksat = !lo in
-    let r = F.sub p pd.(ksat) and w = F.sub total_w pw.(ksat) in
-    let positive_w = F.sign w > 0 in
+    let r' = F.sub r pd.(ksat) and w' = F.sub w pw.(ksat) in
+    let positive_w = F.sign w' > 0 in
     for k = 0 to m - 1 do
-      out.(k) <-
-        (if k < ksat then ds.(k)
-         else if positive_w then F.div (F.mul ws.(k) r) w
+      let i = idx.(k) in
+      share.(i) <-
+        (if k < ksat then cap.(i)
+         else if positive_w then F.div (F.mul weight.(i) r') w'
          else F.zero)
     done
 
+  (* Total weight of a pool, summed in its listed order — the order the
+     kernel's prefix sums use, so [w] is their last entry bit for bit. *)
+  let pool_weight ~m ~(idx : int array) ~(weight : F.t array) =
+    let w = ref F.zero in
+    for k = 0 to m - 1 do
+      w := F.add !w weight.(idx.(k))
+    done;
+    !w
+
   (** One round of Algorithm 1: shares for the alive tasks.
       [alive] gives (index, weight, delta); the result maps each alive
-      index to its share. Total shares never exceed [p].
-      [O(n log n)] — sort by saturation ratio, then one binary-searched
-      threshold. Agrees with {!shares_reference} (exactly over exact
-      fields). *)
+      index to its share, in saturation-ratio order. Total shares never
+      exceed [p]. [O(n log n)] — sort by saturation ratio, then one
+      binary-searched threshold. Agrees with {!shares_reference}
+      (exactly over exact fields). *)
   let shares ~p alive : (int * F.t) list =
     let arr = Array.of_list alive in
-    Array.sort
-      (fun (a, wa, da) (b, wb, db) ->
-        let c = F.compare (F.mul da wb) (F.mul db wa) in
-        if c <> 0 then c else Stdlib.compare a b)
-      arr;
     let m = Array.length arr in
-    let ws = Array.make m F.zero and ds = Array.make m F.zero in
-    Array.iteri
-      (fun k (_, w, d) ->
-        ws.(k) <- w;
-        ds.(k) <- d)
-      arr;
-    let pd = Array.make (m + 1) F.zero and pw = Array.make (m + 1) F.zero in
-    let out = Array.make m F.zero in
-    frontier_shares ~p ~m ws ds pd pw out;
-    List.init m (fun k ->
-        let i, _, _ = arr.(k) in
-        (i, out.(k)))
+    let id = Array.map (fun (i, _, _) -> i) arr in
+    let weight = Array.map (fun (_, w, _) -> w) arr in
+    let cap = Array.map (fun (_, _, d) -> d) arr in
+    let idx = Array.init m Fun.id in
+    Array.sort
+      (fun a b ->
+        let c = F.compare (F.mul cap.(a) weight.(b)) (F.mul cap.(b) weight.(a)) in
+        if c <> 0 then c else Stdlib.compare id.(a) id.(b))
+      idx;
+    let share = Array.make m F.zero in
+    frontier ~r:p ~w:(pool_weight ~m ~idx ~weight) ~m ~idx ~weight ~cap
+      ~pd:(Array.make (m + 1) F.zero) ~pw:(Array.make (m + 1) F.zero) ~share;
+    List.init m (fun k -> (id.(idx.(k)), share.(idx.(k))))
 
   (** Field-generic simulation loop — the semantic source of truth for
-      {!simulate}, which dispatches to a monomorphic float kernel when
-      the field witness allows it. Exposed for the differential tests
-      pinning the kernel bit-for-bit. *)
-  let simulate_reference ?(use_weights = true) (inst : instance) : column_schedule * diagnostics =
+      {!simulate}, which dispatches linear bags to a monomorphic float
+      kernel when the field witness allows it. The pool at each event
+      is the ready frontier: alive tasks whose parents have all
+      completed (every alive task, on a bag), so a completion may
+      release children into it — the frontier equipartition of
+      Garg–Gupta–Kumar–Singla (arXiv:1905.02133). Edges point at
+      earlier tasks of a validated instance, so the frontier is
+      nonempty until everything has completed. *)
+  let simulate_reference ?(use_weights = true) ?(transitive = false) (inst : instance) :
+      column_schedule * diagnostics =
     let n = I.num_tasks inst in
-    let weight = if use_weights then fun i -> inst.tasks.(i).weight else fun _ -> F.one in
+    let deps = I.has_deps inst in
+    let transitive = transitive && deps in
+    let own i = if use_weights then inst.tasks.(i).weight else F.one in
+    let weight = Array.init n own in
+    let gated = if transitive then I.gated_work ~use_weights inst else [||] in
     let delta = Array.init n (fun i -> I.effective_delta inst i) in
     let remaining = Array.map (fun t -> t.volume) inst.tasks in
     let alive = Array.make n true in
+    (* Parents not yet completed; a task is ready once this hits 0. *)
+    let unmet = Array.init n (fun i -> Array.length inst.tasks.(i).deps) in
+    let children = I.dep_children inst in
     let full_volume = Array.make n F.zero in
     let limited_volume = Array.make n F.zero in
     let order = Array.make n 0 in
     let finish = Array.make n F.zero in
     let columns = Array.make n [] in
-    (* The saturation ratio δ_i/w_i is static, so one sort serves every
-       completion event. [by_ratio] and [by_index] hold the alive tasks
-       (ρ-ascending and index-ascending respectively); completed tasks
-       are compacted out after each event, so every per-event loop is
-       O(alive), not O(n). *)
+    let by_ratio_cmp a b =
+      let c = F.compare (F.mul delta.(a) weight.(b)) (F.mul delta.(b) weight.(a)) in
+      if c <> 0 then c else Stdlib.compare a b
+    in
+    (* Plain weights make the saturation ratio δ_i/w_i static, so one
+       sort serves every completion event. [by_ratio] and [by_index]
+       hold the alive tasks (ρ-ascending and index-ascending
+       respectively); completed tasks are compacted out after each
+       event, so every per-event loop is O(alive), not O(n). *)
     let by_ratio = Array.init n (fun i -> i) in
-    Array.sort
-      (fun a b ->
-        let c = F.compare (F.mul delta.(a) (weight b)) (F.mul delta.(b) (weight a)) in
-        if c <> 0 then c else Stdlib.compare a b)
-      by_ratio;
+    Array.sort by_ratio_cmp by_ratio;
     let by_index = Array.init n (fun i -> i) in
-    (* Reused scratch for the per-event frontier computation. *)
-    let ws = Array.make n F.zero and ds = Array.make n F.zero in
+    (* The ready frontier in ratio order; on a bag, [by_ratio] itself. *)
+    let ready = if deps then Array.make n 0 else by_ratio in
     let pd = Array.make (n + 1) F.zero and pw = Array.make (n + 1) F.zero in
-    let out = Array.make n F.zero in
+    (* Dormant tasks keep a zero share until they become ready. *)
     let share = Array.make n F.zero in
-    (* Progress rate of each alive task at its current share; equals
+    (* Progress rate of each ready task at its current share; equals
        the share itself under the linear law, so every linear-instance
        value below is the historical one bit-for-bit. *)
     let rate = Array.make n F.zero in
@@ -167,19 +186,41 @@ module Make (F : Mwct_field.Field.S) = struct
     let m = ref n in
     while !col < n do
       let m0 = !m in
-      for k = 0 to m0 - 1 do
-        let i = by_ratio.(k) in
-        ws.(k) <- weight i;
-        ds.(k) <- delta.(i)
-      done;
-      frontier_shares ~p:inst.procs ~m:m0 ws ds pd pw out;
-      (* Time to the next completion; [t_best < 0] encodes "none yet". *)
+      let mr =
+        if not deps then m0
+        else begin
+          (* Filtered from the static ratio order — or, with transitive
+             weights, which move, from the index order, then re-priced
+             and sorted afresh. *)
+          let src = if transitive then by_index else by_ratio in
+          let k = ref 0 in
+          for j = 0 to m0 - 1 do
+            let i = src.(j) in
+            if unmet.(i) = 0 then begin
+              ready.(!k) <- i;
+              incr k
+            end
+          done;
+          !k
+        end
+      in
+      if transitive then begin
+        for k = 0 to mr - 1 do
+          let i = ready.(k) in
+          weight.(i) <- F.add (F.mul (own i) (F.div remaining.(i) (I.max_rate inst i))) gated.(i)
+        done;
+        let sorted = Array.sub ready 0 mr in
+        Array.sort by_ratio_cmp sorted;
+        Array.blit sorted 0 ready 0 mr
+      end;
+      frontier ~r:inst.procs ~w:(pool_weight ~m:mr ~idx:ready ~weight) ~m:mr ~idx:ready ~weight
+        ~cap:delta ~pd ~pw ~share;
+      (* Time to the next completion. *)
       let t_best = ref F.zero in
       let seen = ref false in
-      for k = 0 to m0 - 1 do
-        let i = by_ratio.(k) in
-        share.(i) <- out.(k);
-        rate.(i) <- I.rate_at inst i out.(k);
+      for k = 0 to mr - 1 do
+        let i = ready.(k) in
+        rate.(i) <- I.rate_at inst i share.(i);
         if F.sign rate.(i) > 0 then begin
           let ti = F.div remaining.(i) rate.(i) in
           if (not !seen) || F.compare ti !t_best < 0 then begin
@@ -194,12 +235,11 @@ module Make (F : Mwct_field.Field.S) = struct
       (* Advance volumes; split them into full-allocation vs limited
          volume for the Lemma 2 diagnostics; collect completions. *)
       let finished = ref [] in
-      for k = 0 to m0 - 1 do
-        let i = by_ratio.(k) in
-        let s = out.(k) in
+      for k = 0 to mr - 1 do
+        let i = ready.(k) in
         let processed = F.mul rate.(i) dt in
         remaining.(i) <- F.sub remaining.(i) processed;
-        let saturated = F.equal_approx s delta.(i) in
+        let saturated = F.equal_approx share.(i) delta.(i) in
         if saturated then full_volume.(i) <- F.add full_volume.(i) processed
         else limited_volume.(i) <- F.add limited_volume.(i) processed;
         if F.leq_approx remaining.(i) F.zero then finished := i :: !finished
@@ -216,13 +256,15 @@ module Make (F : Mwct_field.Field.S) = struct
         if F.sign share.(i) > 0 then column := (i, share.(i)) :: !column
       done;
       (* One column per completed task: the first carries the duration,
-         simultaneous completions give zero-length columns. *)
+         simultaneous completions give zero-length columns. A
+         completion releases the children whose last parent it was. *)
       List.iteri
         (fun k i ->
           let j = !col + k in
           order.(j) <- i;
           finish.(j) <- t_end;
           alive.(i) <- false;
+          List.iter (fun c -> unmet.(c) <- unmet.(c) - 1) children.(i);
           if k = 0 then columns.(j) <- !column)
         finished;
       col := !col + List.length finished;
@@ -402,15 +444,18 @@ module Make (F : Mwct_field.Field.S) = struct
           ({ instance = inst; order; finish; columns }, { full_volume; limited_volume }))
 
   (** Simulate a dynamic-equipartition run. [use_weights = false] gives
-      plain DEQ (Deng et al.), the unweighted special case. On the
-      float field with the linear rate law this runs the monomorphic
+      plain DEQ (Deng et al.), the unweighted special case; on an
+      instance with dependency edges the run is the frontier policy
+      of {!simulate_reference}, with [~transitive] selecting its
+      weighting. On the float field a linear bag runs the monomorphic
       kernel (bit-identical to {!simulate_reference}, several times
-      faster at scale); speedup-curve instances take the generic
-      path. *)
-  let simulate ?(use_weights = true) (inst : instance) : column_schedule * diagnostics =
+      faster at scale); speedup curves and edges take the generic
+      loop. *)
+  let simulate ?(use_weights = true) ?transitive (inst : instance) :
+      column_schedule * diagnostics =
     match simulate_float_opt with
-    | Some f when not (I.has_curves inst) -> f ~use_weights inst
-    | _ -> simulate_reference ~use_weights inst
+    | Some f when not (I.has_curves inst || I.has_deps inst) -> f ~use_weights inst
+    | _ -> simulate_reference ~use_weights ?transitive inst
 
   (** WDEQ schedule of an instance. *)
   let wdeq inst = simulate ~use_weights:true inst

@@ -1,7 +1,13 @@
 (** WDEQ — Weighted Dynamic EQuipartition (Algorithm 1, Section III),
     the paper's non-clairvoyant 2-approximation (Theorem 4), simulated
     on clairvoyant instances (volumes are used only to locate the next
-    completion event). *)
+    completion event). On precedence-constrained instances the same
+    loop shares the platform over the ready frontier (after
+    Garg–Gupta–Kumar–Singla, arXiv:1905.02133).
+
+    {!frontier} is the library's one generic clipping-frontier kernel:
+    {!shares}, the simulation loop and the non-clairvoyant policies of
+    [Mwct_ncv.Policy] all call it. *)
 
 module Make (F : Mwct_field.Field.S) : sig
   (** Per-run diagnostics for the Lemma 2 bound: volume processed at
@@ -9,6 +15,26 @@ module Make (F : Mwct_field.Field.S) : sig
       processed while limited by equipartition ([limited_volume],
       [VF̄]); the two sum to [V_i]. *)
   type diagnostics = { full_volume : F.t array; limited_volume : F.t array }
+
+  (** The clipping frontier of Algorithm 1 over one pool.
+      [idx.(0..m-1)] lists the pool in ascending saturation ratio
+      [cap/weight] with ties broken by id; [r] and [w] are the pool's
+      residual capacity and weight; [weight] and [cap] are indexed by
+      the entries of [idx]; [pd] and [pw] are scratch of length
+      [>= m+1]. Writes [share.(idx.(k))] for every [k < m]: the first
+      tasks of the order clipped at their caps, the rest sharing the
+      residual in proportion to weight. *)
+  val frontier :
+    r:F.t ->
+    w:F.t ->
+    m:int ->
+    idx:int array ->
+    weight:F.t array ->
+    cap:F.t array ->
+    pd:F.t array ->
+    pw:F.t array ->
+    share:F.t array ->
+    unit
 
   (** One round of Algorithm 1: shares for the alive tasks, given
       [(index, weight, delta)] triples. Total shares never exceed [p].
@@ -24,26 +50,33 @@ module Make (F : Mwct_field.Field.S) : sig
 
   (** Simulate a dynamic-equipartition run to completion.
       [~use_weights:false] gives DEQ (the unweighted policy of Deng et
-      al.). On the float field this dispatches (via the field witness)
-      to a monomorphic kernel, bit-identical to
+      al.). With dependency edges the pool at each event is the ready
+      frontier (alive tasks whose parents have all completed), and
+      [~transitive:true] shares it by remaining gated work: own weight
+      times remaining height plus [Σ w_j·h_j] over the transitive
+      descendants ({!Instance.Make.gated_work}); it is ignored without
+      edges. On the float field a linear bag dispatches (via the field
+      witness) to a monomorphic kernel, bit-identical to
       {!simulate_reference}. *)
   val simulate :
     ?use_weights:bool ->
+    ?transitive:bool ->
     Types.Make(F).instance ->
     Types.Make(F).column_schedule * diagnostics
 
-  (** The field-generic simulation loop, the kernel's semantic source
-      of truth — exposed so differential tests can pin the two
-      bit-for-bit. *)
+  (** The field-generic simulation loop, the float kernel's semantic
+      source of truth — exposed so differential tests can pin the two
+      bit-for-bit. Same arguments as {!simulate}. *)
   val simulate_reference :
     ?use_weights:bool ->
+    ?transitive:bool ->
     Types.Make(F).instance ->
     Types.Make(F).column_schedule * diagnostics
 
-  (** WDEQ (weighted shares). *)
+  (** WDEQ (weighted shares); frontier-WDEQ on a DAG. *)
   val wdeq : Types.Make(F).instance -> Types.Make(F).column_schedule * diagnostics
 
-  (** DEQ: unweighted shares; the objective can still be evaluated with
-      the instance's weights. *)
+  (** DEQ: unweighted shares (frontier-DEQ on a DAG); the objective can
+      still be evaluated with the instance's weights. *)
   val deq : Types.Make(F).instance -> Types.Make(F).column_schedule * diagnostics
 end

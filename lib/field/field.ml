@@ -4,6 +4,9 @@
    functor arity. Fields other than the float one answer [Any]. *)
 type 'a witness = Float : float witness | Any : 'a witness
 
+let is_finite : type a. a witness -> a -> bool =
+ fun w x -> match w with Float -> Float.is_finite x | Any -> true
+
 module type S = sig
   type t
 
@@ -92,18 +95,23 @@ module Float_field = struct
   let repr x = Printf.sprintf "%h" x
 
   let of_repr s =
-    match float_of_string_opt s with
-    | Some x -> Some x
-    | None -> (
-      (* "p/q" ratio notation, for symmetry with the exact engine. *)
-      match String.index_opt s '/' with
-      | None -> None
-      | Some i -> (
-        let num = float_of_string_opt (String.sub s 0 i) in
-        let den = float_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) in
-        match (num, den) with
-        | Some n, Some d when d <> 0. -> Some (n /. d)
-        | _ -> None))
+    let parsed =
+      match float_of_string_opt s with
+      | Some _ as x -> x
+      | None -> (
+        (* "p/q" ratio notation, for symmetry with the exact engine. *)
+        match String.index_opt s '/' with
+        | None -> None
+        | Some i -> (
+          let num = float_of_string_opt (String.sub s 0 i) in
+          let den = float_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) in
+          match (num, den) with
+          | Some n, Some d when d <> 0. -> Some (n /. d)
+          | _ -> None))
+    in
+    (* inf, nan and overflowing literals (1e400) are refused: one
+       non-finite number poisons virtual time and every eta after it. *)
+    match parsed with Some x when Float.is_finite x -> parsed | _ -> None
   let pp fmt x = Format.fprintf fmt "%g" x
   let leq_approx a b = a <= b +. epsilon
   let equal_approx a b = Float.abs (a -. b) <= epsilon

@@ -14,6 +14,11 @@
     functor signature unchanged. All non-float fields answer [Any]. *)
 type 'a witness = Float : float witness | Any : 'a witness
 
+(** [is_finite (F.witness) x]: [x] is a finite number. Only the float
+    carrier has infinities and NaNs; every other field here is exact,
+    so the answer there is always [true]. *)
+val is_finite : 'a witness -> 'a -> bool
+
 (** Signature of an ordered field with conversions. *)
 module type S = sig
   type t
@@ -64,7 +69,8 @@ module type S = sig
   (** Parse a {!repr} output. Also accepts the field's human notations:
       ["p/q"] ratios on both engines, decimal literals where the field
       can represent them exactly ([1.5] is [3/2]). [None] on anything
-      else. *)
+      else, including non-finite floats ([inf], [nan], and literals
+      such as [1e400] that overflow). *)
   val of_repr : string -> t option
 
   val pp : Format.formatter -> t -> unit

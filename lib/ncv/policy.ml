@@ -11,10 +11,18 @@
     case; [Equi] ignores caps in the fair share (then gets clipped) —
     the classical equipartition; [Priority_weight] gives everything to
     the heaviest alive tasks first (a greedy non-clairvoyant
-    heuristic). *)
+    heuristic).
+
+    The WDEQ/DEQ clipping frontier is the library's one kernel,
+    {!Mwct_core.Wdeq.Make.frontier}. The list rule ({!wdeq_shares})
+    runs two [List.partition] clip rounds in id order before falling
+    back to it, and {!Incremental} replays those rounds before calling
+    it. The rounds stay because their output order is the order of
+    simultaneous [complete] lines in every journal (DESIGN.md §6.1). *)
 
 module Make (F : Mwct_field.Field.S) = struct
   module En = Mwct_runtime.Engine.Make (F)
+  module W = Mwct_core.Wdeq.Make (F)
 
   (** What a policy may observe about one alive task. *)
   type view = { id : int; weight : F.t; cap : F.t }
@@ -33,44 +41,24 @@ module Make (F : Mwct_field.Field.S) = struct
   let of_name s = List.find_opt (fun p -> String.equal (name p) s) all
 
   (* Weighted water-filling fixpoint (Algorithm 1) over a residual
-     pool: sort the views by saturation ratio [cap/weight] and
-     binary-search the clipping frontier over prefix sums of caps and
-     weights (the monotone-threshold argument of {!Mwct_core.Wdeq},
-     DESIGN.md §6.1). [r]/[w] are the pool's residual capacity and
-     weight. *)
+     pool: sort the views by saturation ratio [cap/weight] (id
+     tie-break) and run the library's clipping-frontier kernel
+     ({!Mwct_core.Wdeq.Make.frontier}, DESIGN.md §6.1). [r]/[w] are the
+     pool's residual capacity and weight. *)
   let frontier_shares r w (pool : view list) : (int * F.t) list =
     let arr = Array.of_list pool in
+    let m = Array.length arr in
+    let weight = Array.map (fun v -> v.weight) arr and cap = Array.map (fun v -> v.cap) arr in
+    let idx = Array.init m Fun.id in
     Array.sort
       (fun a b ->
-        let c = F.compare (F.mul a.cap b.weight) (F.mul b.cap a.weight) in
-        if c <> 0 then c else Stdlib.compare a.id b.id)
-      arr;
-    let m = Array.length arr in
-    let pd = Array.make (m + 1) F.zero and pw = Array.make (m + 1) F.zero in
-    for k = 0 to m - 1 do
-      pd.(k + 1) <- F.add pd.(k) arr.(k).cap;
-      pw.(k + 1) <- F.add pw.(k) arr.(k).weight
-    done;
-    let sat_ok k =
-      k = m
-      ||
-      let r' = F.sub r pd.(k) and w' = F.sub w pw.(k) in
-      F.sign w' <= 0 || F.compare (F.mul arr.(k).cap w') (F.mul arr.(k).weight r') >= 0
-    in
-    let lo = ref 0 and hi = ref m in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if sat_ok mid then hi := mid else lo := mid + 1
-    done;
-    let ksat = !lo in
-    let r' = F.sub r pd.(ksat) and w' = F.sub w pw.(ksat) in
-    let positive_w = F.sign w' > 0 in
-    List.init m (fun k ->
-        let v = arr.(k) in
-        ( v.id,
-          if k < ksat then v.cap
-          else if positive_w then F.div (F.mul v.weight r') w'
-          else F.zero ))
+        let c = F.compare (F.mul cap.(a) weight.(b)) (F.mul cap.(b) weight.(a)) in
+        if c <> 0 then c else Stdlib.compare arr.(a).id arr.(b).id)
+      idx;
+    let share = Array.make m F.zero in
+    W.frontier ~r ~w ~m ~idx ~weight ~cap ~pd:(Array.make (m + 1) F.zero)
+      ~pw:(Array.make (m + 1) F.zero) ~share;
+    List.init m (fun k -> (arr.(idx.(k)).id, share.(idx.(k))))
 
   (* Adaptive WDEQ shares: on real view sets the clipping fixpoint
      almost always settles within a round or two, and a plain
@@ -146,25 +134,16 @@ module Make (F : Mwct_field.Field.S) = struct
     shares p ~capacity
       (List.map (fun (v : En.view) -> { id = v.En.id; weight = v.En.weight; cap = v.En.cap }) views)
 
-  (** Incremental (kinetic) WDEQ/DEQ: the saturation-ratio frontier
-      maintained across events instead of rebuilt per reshare.
-
-      {!wdeq_shares} is two [List.partition] rounds in id order plus —
-      only when clipping cascades — a frontier over the residual pool
-      sorted by the saturation ratio [cap/weight]. The partitions are
-      cheap linear sweeps, but the fallback sort is the O(n log n) term
-      paid on every reshare. Here the ratio order is {e kinetic} state:
-      a slot-indexed sorted array updated by binary-search
-      insert/remove as tasks arrive and leave (O(n) blit per event),
-      so a reshare is pure linear sweeps — the frontier order is read
-      off the maintained array (the comparator is a strict total order,
-      ids breaking ties, so the maintained order restricted to any
-      subset {e is} the fresh sort {!frontier_shares} would compute).
-
-      Bit-identity with {!wdeq_shares} is the contract: same partition
-      predicates in the same id order, the same sequential residual
-      folds, the same fresh prefix sums and binary-searched clipping
-      frontier — verified term by term by the differential tests. *)
+  (** Incremental (kinetic) WDEQ/DEQ. {!wdeq_shares}' fallback sorts
+      the residual pool on every cascading reshare; here the ratio order
+      is {e kinetic} state — a slot-indexed sorted array updated by
+      binary-search insert/remove as tasks arrive and leave (O(n) blit
+      per event) — so a reshare is linear sweeps plus the kernel. The
+      comparator is a strict total order (ids break ties), so the
+      maintained order restricted to any subset {e is} the fresh sort
+      {!frontier_shares} would compute. Bit-identity with
+      {!wdeq_shares} is the contract, checked by the differential
+      tests. *)
   module Incremental = struct
     type state = {
       use_weights : bool;  (** [false] maps every weight to [F.one] (DEQ) *)
@@ -339,47 +318,18 @@ module Make (F : Mwct_field.Field.S) = struct
               end
             done;
             (* the residual pool in ratio order, read off the kinetic
-               array instead of sorted afresh *)
+               array instead of sorted afresh, then the frontier *)
             let m = ref 0 in
             for k = 0 to st.n - 1 do
               let s = st.rank.(k) in
               if st.status.(s) = 0 then begin
                 st.rest2.(!m) <- s;
+                order.(!j + !m) <- s;
                 incr m
               end
             done;
-            let m = !m in
-            st.pd.(0) <- F.zero;
-            st.pw.(0) <- F.zero;
-            for k = 0 to m - 1 do
-              let s = st.rest2.(k) in
-              st.pd.(k + 1) <- F.add st.pd.(k) st.d.(s);
-              st.pw.(k + 1) <- F.add st.pw.(k) st.w.(s)
-            done;
-            let sat_ok k =
-              k = m
-              ||
-              let s = st.rest2.(k) in
-              let r' = F.sub r2 st.pd.(k) and w' = F.sub w2 st.pw.(k) in
-              F.sign w' <= 0 || F.compare (F.mul st.d.(s) w') (F.mul st.w.(s) r') >= 0
-            in
-            let lo = ref 0 and hi = ref m in
-            while !lo < !hi do
-              let mid = (!lo + !hi) / 2 in
-              if sat_ok mid then hi := mid else lo := mid + 1
-            done;
-            let ksat = !lo in
-            let r' = F.sub r2 st.pd.(ksat) and w' = F.sub w2 st.pw.(ksat) in
-            let pos = F.sign w' > 0 in
-            for k = 0 to m - 1 do
-              let s = st.rest2.(k) in
-              order.(!j) <- s;
-              incr j;
-              share.(s) <-
-                (if k < ksat then st.d.(s)
-                 else if pos then F.div (F.mul st.w.(s) r') w'
-                 else F.zero)
-            done
+            W.frontier ~r:r2 ~w:w2 ~m:!m ~idx:st.rest2 ~weight:st.w ~cap:st.d ~pd:st.pd ~pw:st.pw
+              ~share
           end
         end
       end

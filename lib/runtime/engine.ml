@@ -824,8 +824,15 @@ module Make (F : Mwct_field.Field.S) = struct
      budget bounds pathological non-convergence. *)
   let no_progress_budget = 64
 
+  (* Virtual time stays finite: an advance whose target overflows
+     ([now + dt] past the largest float) or is inf/nan is refused before
+     any state changes, like an advance into the past. *)
+  let non_finite target =
+    Error (Invalid (Printf.sprintf "advance: target %s is not finite" (F.to_string target)))
+
   let advance_to_generic t target : (notification list, error) result =
-    if F.compare target (now t) < 0 then
+    if not (Mwct_field.Field.is_finite F.witness target) then non_finite target
+    else if F.compare target (now t) < 0 then
       Error
         (Invalid
            (Printf.sprintf "advance into the past (target %s < now %s)" (F.to_string target)
@@ -1003,7 +1010,8 @@ module Make (F : Mwct_field.Field.S) = struct
          path that must not allocate. *)
       let start (t : t) =
         let nowv = t.now_cell.(0) in
-        if Float.compare t.fscratch.(0) nowv < 0 then
+        if not (Float.is_finite t.fscratch.(0)) then non_finite t.fscratch.(0)
+        else if Float.compare t.fscratch.(0) nowv < 0 then
           Error
             (Invalid
                (Printf.sprintf "advance into the past (target %s < now %s)"

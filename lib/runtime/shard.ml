@@ -624,10 +624,13 @@ module Make (F : Mwct_field.Field.S) = struct
           t.events <- t.events + 1;
           Ok [])
       | En.Advance dt ->
+        let target = F.add t.now dt in
         if F.sign dt < 0 then Error (En.Invalid "advance: negative dt")
-        else tick t e (F.add t.now dt)
+        else if not (Mwct_field.Field.is_finite F.witness target) then En.non_finite target
+        else tick t e target
       | En.Advance_to target ->
-        if F.compare target t.now < 0 then
+        if not (Mwct_field.Field.is_finite F.witness target) then En.non_finite target
+        else if F.compare target t.now < 0 then
           Error
             (En.Invalid
                (Printf.sprintf "advance into the past (target %s < now %s)" (F.to_string target)

@@ -121,15 +121,11 @@ module Make (F : Mwct_field.Field.S) = struct
   let wdeq_dag =
     make ~name:"wdeq-dag"
       ~doc:"frontier-WDEQ over the precedence DAG (weights shared over ready tasks; GGKS)"
-      ~caps:[ Non_clairvoyant; General_speedup; Dag ] (fun inst ->
-        let s, d = E.Dag.wdeq inst in
-        (s, { no_meta with wdeq_diagnostics = Some d }))
+      ~caps:[ Non_clairvoyant; General_speedup; Dag ] wdeq.solve
 
   let deq_dag =
     make ~name:"deq-dag" ~doc:"unweighted frontier equipartition over the precedence DAG"
-      ~caps:[ Non_clairvoyant; General_speedup; Dag ] (fun inst ->
-        let s, d = E.Dag.deq inst in
-        (s, { no_meta with wdeq_diagnostics = Some d }))
+      ~caps:[ Non_clairvoyant; General_speedup; Dag ] deq.solve
 
   let optimal =
     make ~name:"optimal" ~doc:"exact optimum: Corollary-1 LP over all n! completion orders (n <= 8)"

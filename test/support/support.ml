@@ -32,6 +32,10 @@ let family_of_kind = function
   | `Tiny_den -> Instances.Tiny_den
   | `Concave_curves -> Instances.Concave_curves
   | `Capacity_tight -> Instances.Capacity_tight
+  | `Dag_layered -> Instances.Dag_layered
+  | `Dag_fork_join -> Instances.Dag_fork_join
+  | `Dag_random -> Instances.Dag_random
+  | `Dag_chain -> Instances.Dag_chain
 
 (* QCheck generators of specs, built structurally from lib/check's
    instance families. Structural generation (rather than drawing a PRNG

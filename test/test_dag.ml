@@ -2,12 +2,13 @@
    dormant -> alive lifecycle (activation at the last parent's
    completion, release re-stamped at activation, cascade cancel), the
    journal round-trip of `deps` fields, zero-edge byte identity with the
-   independent-bag engine, and the frontier Dag simulator against
-   hand-checkable instances. *)
+   independent-bag engine, and the frontier loop of `Wdeq.simulate`
+   against hand-checkable instances. *)
 
 open Test_support
 module Spec_io = Mwct_core.Spec_io
 module EF = Support.EF
+module EQ = Support.EQ
 module SF = Mwct_solver.Solver.Float
 module EnF = Mwct_runtime.Engine.Make (Mwct_field.Field.Float_field)
 module JF = Mwct_runtime.Journal.Make (Mwct_field.Field.Float_field)
@@ -205,7 +206,7 @@ let test_zero_edge_no_trace () =
        true
      with Not_found -> false)
 
-(* ---------- frontier Dag simulator ---------- *)
+(* ---------- frontier simulation loop ---------- *)
 
 let chain_spec =
   parse
@@ -222,7 +223,7 @@ deps 1
    prefix sums 1, 2, 2.5 and the order is forced. *)
 let test_dag_chain_schedule () =
   let inst = Support.finst chain_spec in
-  let s, _ = EF.Dag.wdeq inst in
+  let s, _ = EF.Wdeq.wdeq inst in
   Alcotest.(check (array int)) "forced order" [| 0; 1; 2 |] s.EF.Types.order;
   Alcotest.(check (array (float 1e-9))) "prefix-sum finishes" [| 1.0; 2.0; 2.5 |]
     s.EF.Types.finish
@@ -243,7 +244,7 @@ deps 1 2
 (* The diamond respects precedence and matches the registry solver. *)
 let test_dag_diamond_valid () =
   let inst = Support.finst diamond_spec in
-  let s, _ = EF.Dag.wdeq inst in
+  let s, _ = EF.Wdeq.wdeq inst in
   let c = EF.Schedule.completion_times s in
   Array.iteri
     (fun i (t : EF.Types.task) ->
@@ -259,19 +260,69 @@ let test_dag_diamond_valid () =
     (EF.Schedule.weighted_completion_time s)
     (SF.objective "wdeq-dag" inst)
 
-(* Zero-edge instances dispatch to the independent-bag code path —
-   exact structural equality, not just objective agreement. *)
+(* Zero-edge instances take the independent-bag code path: the
+   registry's frontier entry and the transitive flag both reproduce the
+   bag schedule — exact structural equality, not just objective
+   agreement. *)
 let prop_zero_edge_identity =
   QCheck2.Test.make ~count:80 ~name:"wdeq-dag = wdeq on zero-edge instances (exact equality)"
     ~print:Support.print_spec
     (Support.gen_spec ~max_n:8 `Uniform)
     (fun spec ->
       let inst = Support.finst spec in
-      let d, _ = EF.Dag.wdeq inst in
-      let w, _ = EF.Wdeq.wdeq inst in
-      d.EF.Types.order = w.EF.Types.order
-      && d.EF.Types.finish = w.EF.Types.finish
-      && d.EF.Types.columns = w.EF.Types.columns)
+      let solve name = fst (SF.solve_exn name inst) in
+      let w = solve "wdeq" in
+      let same (d : EF.Types.column_schedule) =
+        d.EF.Types.order = w.EF.Types.order
+        && d.EF.Types.finish = w.EF.Types.finish
+        && d.EF.Types.columns = w.EF.Types.columns
+      in
+      same (solve "wdeq-dag") && same (fst (EF.Wdeq.simulate ~transitive:true inst)))
+
+(* The batch frontier schedule against the online engine's dormant ->
+   alive lifecycle: every task submitted at time 0 (parents listed as
+   deps) to a kinetic engine and drained must complete at exactly the
+   batch completion time, on the exact field, for WDEQ and DEQ. *)
+module EnQ = Mwct_runtime.Engine.Make (Mwct_rational.Rational.Rat_field)
+module SimQ = Mwct_ncv.Simulator.Make (Mwct_rational.Rational.Rat_field)
+
+let engine_completions policy (inst : EQ.Types.instance) =
+  let eng =
+    EnQ.create ?kinetic:(SimQ.P.engine_kinetic policy) ~capacity:inst.EQ.Types.procs
+      ~policy:(SimQ.P.engine_policy policy) ()
+  in
+  let ok = function Ok x -> x | Error e -> Alcotest.fail (EnQ.error_to_string e) in
+  Array.iteri
+    (fun i (t : EQ.Types.task) ->
+      ignore
+        (ok
+           (EnQ.apply eng
+              (EnQ.Submit
+                 {
+                   id = i;
+                   volume = t.EQ.Types.volume;
+                   weight = t.EQ.Types.weight;
+                   cap = EQ.Instance.effective_delta inst i;
+                   speedup = EQ.Instance.speedup_arrays inst i;
+                   deps = Array.to_list t.EQ.Types.deps;
+                 }))))
+    inst.EQ.Types.tasks;
+  ok (EnQ.apply eng EnQ.Drain)
+
+let prop_batch_matches_engine =
+  QCheck2.Test.make ~count:100 ~name:"batch frontier schedule = engine drain (exact)"
+    ~print:Support.print_spec
+    QCheck2.Gen.(
+      oneofl [ `Dag_layered; `Dag_fork_join; `Dag_random; `Dag_chain ] >>= Support.gen_spec ~max_n:8)
+    (fun spec ->
+      let inst = Support.qinst spec in
+      List.for_all
+        (fun (policy, batch) ->
+          let c = EQ.Schedule.completion_times (fst (batch inst)) in
+          let notes = engine_completions policy inst in
+          List.length notes = Array.length c
+          && List.for_all (fun (n : EnQ.notification) -> EQ.Field.equal n.EnQ.at c.(n.EnQ.id)) notes)
+        [ (SimQ.P.Wdeq, EQ.Wdeq.wdeq); (SimQ.P.Deq, EQ.Wdeq.deq) ])
 
 (* Remaining-work transitive weighting (ROADMAP PR 9 follow-up): a
    gate's share weight is the work its completion unlocks, not the raw
@@ -299,7 +350,7 @@ let test_transitive_remaining_work () =
   let gw = EF.Instance.gated_work inst in
   Alcotest.(check (float 1e-9)) "gate 0 gates w·h = 1/2" 0.5 gw.(0);
   Alcotest.(check (float 1e-9)) "gate 1 gates w·h = 8" 8.0 gw.(1);
-  let s, _ = EF.Dag.wdeq ~transitive:true inst in
+  let s, _ = EF.Wdeq.simulate ~transitive:true inst in
   Alcotest.(check int) "heavy-work gate completes first" 1 s.EF.Types.order.(0);
   (* the plain (non-transitive) run still starts with gate 0's side:
      equal own weights tie, and ties resolve nothing here — but the
@@ -313,7 +364,7 @@ let test_transitive_remaining_work () =
    variant must still satisfy the precedence oracle's invariant. *)
 let test_transitive_variant_valid () =
   let inst = Support.finst diamond_spec in
-  let s, _ = EF.Dag.wdeq ~transitive:true inst in
+  let s, _ = EF.Wdeq.simulate ~transitive:true inst in
   let c = EF.Schedule.completion_times s in
   Array.iteri
     (fun i (t : EF.Types.task) ->
@@ -352,5 +403,6 @@ let () =
           Alcotest.test_case "transitive prices remaining work" `Quick
             test_transitive_remaining_work;
           p prop_zero_edge_identity;
+          p prop_batch_matches_engine;
         ] );
     ]

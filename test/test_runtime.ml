@@ -268,6 +268,69 @@ let test_bad_events () =
   | Error (HF.En.Invalid _) -> ()
   | _ -> Alcotest.fail "zero volume not rejected")
 
+(* ---------- non-finite input ---------- *)
+
+let test_of_repr_rejects_non_finite () =
+  let module FF = Mwct_field.Field.Float_field in
+  List.iter
+    (fun s -> Alcotest.(check (option (float 0.))) (s ^ " refused") None (FF.of_repr s))
+    [ "inf"; "-inf"; "infinity"; "nan"; "1e400"; "-1e400"; "inf/1"; "1/0"; "1e308/1e-308" ];
+  List.iter
+    (fun (s, x) -> Alcotest.(check (option (float 0.))) (s ^ " accepted") (Some x) (FF.of_repr s))
+    [ ("1e308", 1e308); ("0x1p+0", 1.); ("3/2", 1.5); ("-0.25", -0.25) ]
+
+(* An advance whose target is not finite — inf or nan, or a finite dt
+   that overflows the clock — is refused with [Invalid], and the state
+   (dump and metrics) is untouched: on both advance kernels and on a
+   sharded store, which must refuse before any shard moves. *)
+let non_finite_advances =
+  HF.En.[ Advance 1e308; Advance Float.infinity; Advance Float.nan; Advance_to Float.infinity;
+          Advance_to Float.nan ]
+
+let check_refused ~what apply fingerprint =
+  List.iteri
+    (fun k ev ->
+      let before = fingerprint () in
+      (match apply ev with
+      | Error (HF.En.Invalid _) -> ()
+      | Error e -> Alcotest.failf "%s event %d: wrong error: %s" what k (HF.En.error_to_string e)
+      | Ok _ -> Alcotest.failf "%s event %d: non-finite advance accepted" what k);
+      Alcotest.(check string) (Printf.sprintf "%s event %d: state untouched" what k) before
+        (fingerprint ()))
+    non_finite_advances
+
+let test_non_finite_advance () =
+  let spec = Support.uspec ~procs:2 [ ((1, 1), 1); ((2, 1), 2) ] in
+  let inst = Support.finst spec in
+  List.iter
+    (fun record_segments ->
+      let eng = HF.fresh ~record_segments inst in
+      ignore (HF.ok (HF.submit eng inst 0));
+      ignore (HF.ok (HF.En.apply eng (HF.En.Advance 1e308)));
+      ignore (HF.ok (HF.submit eng inst 1));
+      check_refused
+        ~what:(if record_segments then "engine" else "engine --no-segments")
+        (HF.En.apply eng)
+        (fun () -> HF.En.dump eng ^ HF.En.metrics_json eng))
+    [ true; false ];
+  let module St = Mwct_runtime.Shard.Float in
+  let st =
+    St.create ~nshards:2 ~route:St.Mod ~capacity:2. ~allocator:HF.wdeq_policy
+      ~policy:HF.wdeq_policy
+      ~kinetic:(fun () -> HF.Sim.P.engine_kinetic HF.Sim.P.Wdeq)
+      ~policy_label:"wdeq" ()
+  in
+  let submit id =
+    ignore
+      (HF.ok
+         (St.apply st (St.En.Submit { id; volume = 2.; weight = 1.; cap = 1.; speedup = None; deps = [] })))
+  in
+  submit 0;
+  ignore (HF.ok (St.apply st (St.En.Advance 1e308)));
+  submit 1;
+  check_refused ~what:"sharded store" (St.apply st) (fun () -> St.dump st ^ St.metrics_json st);
+  St.shutdown st
+
 let test_replay_rejects_corruption () =
   let spec = Support.uspec ~procs:2 [ ((1, 1), 1); ((2, 1), 2) ] in
   let inst = Support.finst spec in
@@ -315,5 +378,9 @@ let () =
         [
           Alcotest.test_case "cancel unknown/completed" `Quick test_cancel_unknown;
           Alcotest.test_case "bad payloads rejected" `Quick test_bad_events;
+          Alcotest.test_case "of_repr refuses non-finite numbers" `Quick
+            test_of_repr_rejects_non_finite;
+          Alcotest.test_case "non-finite advance refused, state untouched" `Quick
+            test_non_finite_advance;
         ] );
     ]
