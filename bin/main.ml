@@ -396,15 +396,11 @@ struct
   let policy_names = String.concat ", " (List.map P.name P.all)
 
   let error_json msg =
-    let buf = Buffer.create (String.length msg + 32) in
-    String.iter
-      (function
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c -> Buffer.add_char buf c)
-      msg;
-    Printf.sprintf "{\"type\":\"error\",\"msg\":\"%s\"}" (Buffer.contents buf)
+    let b = Buffer.create (String.length msg + 32) in
+    Buffer.add_string b "{\"type\":\"error\"";
+    Mwct_runtime.Json_out.string b "msg" msg;
+    Buffer.add_char b '}';
+    Buffer.contents b
 
   (* Resolve a policy name through the registry capability gate. *)
   let resolve_policy name =

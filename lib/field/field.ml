@@ -91,8 +91,13 @@ module Float_field = struct
   let to_string = string_of_float
 
   (* Hexadecimal floats round-trip exactly through float_of_string;
-     decimal renderings (string_of_float's %.12g) do not. *)
-  let repr x = Printf.sprintf "%h" x
+     decimal renderings (string_of_float's %.12g) do not. This is the
+     primitive [Printf.sprintf "%h"] calls (precision -6: as many
+     digits as needed; '-': sign only when negative), minus the format
+     interpretation. *)
+  external hexstring_of_float : float -> int -> char -> string = "caml_hexstring_of_float"
+
+  let repr x = hexstring_of_float x (-6) '-'
 
   let of_repr s =
     let parsed =

@@ -372,43 +372,39 @@ module Make (F : Mwct_field.Field.S) = struct
 
   (* ---------- JSONL report rendering ---------- *)
 
-  (* Dual decimal + [_repr] convention, same helpers as the journal. *)
+  (* Dual decimal + [_repr] convention, same encoder as the journal. *)
 
   let baseline_json (r : report) : string =
-    J.obj
-      ([
-         ("type", "\"baseline\"");
-         ("fork_at", string_of_int r.fork_at);
-         ("tenants", string_of_int r.tenants);
-         ("branches", string_of_int (List.length r.branches));
-       ]
-      @ J.num_fields "sum_wc" r.baseline_wc
-      @ J.num_fields "sum_wflow" r.baseline_wflow)
+    let b = Buffer.create 256 in
+    Buffer.add_string b "{\"type\":\"baseline\"";
+    Json_out.int b "fork_at" r.fork_at;
+    Json_out.int b "tenants" r.tenants;
+    Json_out.int b "branches" (List.length r.branches);
+    J.num b "sum_wc" r.baseline_wc;
+    J.num b "sum_wflow" r.baseline_wflow;
+    Buffer.add_char b '}';
+    Buffer.contents b
 
   let outcome_json (o : outcome) : string =
+    let b = Buffer.create 512 in
+    Buffer.add_string b "{\"type\":\"branch\"";
+    Json_out.string b "label" o.label;
+    Json_out.string b "policy" o.policy;
+    Json_out.int b "applied" o.applied;
+    Json_out.int b "dropped" o.dropped;
+    J.num b "sum_wc" o.sum_wc;
+    J.num b "sum_wflow" o.sum_wflow;
+    J.num b "d_wc" o.d_wc;
+    J.num b "d_wflow" o.d_wflow;
+    Option.iter (J.num b "first_divergence") o.first_divergence;
     let tenant_str render =
       String.concat " "
         (List.mapi (fun t d -> string_of_int t ^ ":" ^ render d) (Array.to_list o.tenant_d_wc))
     in
-    J.obj
-      ([
-         ("type", "\"branch\"");
-         ("label", Printf.sprintf "\"%s\"" (J.escape o.label));
-         ("policy", Printf.sprintf "\"%s\"" (J.escape o.policy));
-         ("applied", string_of_int o.applied);
-         ("dropped", string_of_int o.dropped);
-       ]
-      @ J.num_fields "sum_wc" o.sum_wc
-      @ J.num_fields "sum_wflow" o.sum_wflow
-      @ J.num_fields "d_wc" o.d_wc
-      @ J.num_fields "d_wflow" o.d_wflow
-      @ (match o.first_divergence with None -> [] | Some t -> J.num_fields "first_divergence" t)
-      @ [
-          ( "tenant_d_wc",
-            Printf.sprintf "\"%s\""
-              (J.escape (tenant_str (fun d -> Printf.sprintf "%.12g" (F.to_float d)))) );
-          ("tenant_d_wc_repr", Printf.sprintf "\"%s\"" (J.escape (tenant_str F.repr)));
-        ])
+    Json_out.string b "tenant_d_wc" (tenant_str (fun d -> Json_out.decimal_string (F.to_float d)));
+    Json_out.string b "tenant_d_wc_repr" (tenant_str F.repr);
+    Buffer.add_char b '}';
+    Buffer.contents b
 
   (** The whole report as JSONL: one baseline line, one line per
       branch. *)

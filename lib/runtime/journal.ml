@@ -27,9 +27,13 @@
     verified against the decisions the replayed engine emits; a
     mismatch is reported as corruption instead of being ignored.
 
-    The parser is a minimal flat-object JSON reader (string / number /
-    literal values, no nesting) — the journal grammar needs nothing
-    more, and the repo deliberately has no JSON dependency. *)
+    Lines are rendered by {!Json_out}, the runtime's one JSON encoder
+    (DESIGN.md §10.2). The parser is a minimal flat-object JSON reader
+    (string / number / literal values, no nesting; string escapes are
+    backslash-quote, double backslash, [\n], [\r], [\t] and [\u00XX]
+    below 0x80, which covers everything the encoder emits) — the
+    journal grammar needs nothing more, and the repo deliberately has
+    no JSON dependency. *)
 
 module Make (F : Mwct_field.Field.S) = struct
   module En = Engine.Make (F)
@@ -52,85 +56,65 @@ module Make (F : Mwct_field.Field.S) = struct
 
   (* ---------- encoding ---------- *)
 
-  let escape s =
-    let buf = Buffer.create (String.length s) in
-    String.iter
-      (function
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
+  (* Dual rendering of one field value: ,"k":<decimal>,"k_repr":"<exact>". *)
+  let num b k x = Json_out.num b k (F.to_float x) (F.repr x)
 
-  (* Dual rendering of one field value: "k":<decimal>,"k_repr":"<exact>". *)
-  let num_fields k x =
-    [
-      (k, Printf.sprintf "%.12g" (F.to_float x));
-      (k ^ "_repr", Printf.sprintf "\"%s\"" (escape (F.repr x)));
-    ]
-
-  let obj fields =
-    "{" ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k v) fields) ^ "}"
-
-  (** One journal line (no trailing newline). [shard], when given, tags
-      the line with the owning shard of a sharded store's merged
-      journal; untagged lines are byte-identical to single-engine
-      journals. *)
-  let to_line ?shard ~seq (e : entry) : string =
-    let seq_field = ("seq", string_of_int seq) in
-    let seq_field =
-      match shard with
-      | None -> [ seq_field ]
-      | Some k -> [ seq_field; ("shard", string_of_int k) ]
-    in
-    match e with
+  (** The payload of one journal line: every member after the
+      [{"seq":N] (or [{"seq":N,"shard":k]) frame, closing brace
+      included. A sharded store renders an entry's payload once and
+      frames it for each journal that takes the line ({!frame}). *)
+  let payload (e : entry) : string =
+    let b = Buffer.create 128 in
+    let ty t = Json_out.string b "type" t in
+    (match e with
     | Init { capacity; policy } ->
-      obj
-        (seq_field @ [ ("type", "\"init\"") ]
-        @ num_fields "capacity" capacity
-        @ [ ("policy", Printf.sprintf "\"%s\"" (escape policy)) ])
+      ty "init";
+      num b "capacity" capacity;
+      Json_out.string b "policy" policy
     | Input (En.Submit { id; volume; weight; cap; speedup; deps }) ->
+      ty "submit";
+      Json_out.int b "id" id;
+      num b "volume" volume;
+      num b "weight" weight;
+      num b "cap" cap;
       (* The curve is rendered as a string of space-separated "x:y"
          breakpoints — the flat-object parser has no arrays — with the
          usual dual decimal / [_repr] convention. Linear submits carry
          no speedup fields, keeping their lines byte-identical to
          pre-curve journals. Dependency edges likewise render as a
          space-separated id string, and only when present. *)
-      let speedup_fields =
-        match speedup with
-        | None -> []
-        | Some (bx, by) ->
+      Option.iter
+        (fun (bx, by) ->
           let render f =
             String.concat " "
-              (List.map2
-                 (fun x y -> f x ^ ":" ^ f y)
-                 (Array.to_list bx) (Array.to_list by))
+              (List.map2 (fun x y -> f x ^ ":" ^ f y) (Array.to_list bx) (Array.to_list by))
           in
-          [
-            ("speedup", Printf.sprintf "\"%s\"" (escape (render (fun x -> Printf.sprintf "%.12g" (F.to_float x)))));
-            ("speedup_repr", Printf.sprintf "\"%s\"" (escape (render F.repr)));
-          ]
-      in
-      let deps_fields =
-        match deps with
-        | [] -> []
-        | ds ->
-          [ ("deps", Printf.sprintf "\"%s\"" (String.concat " " (List.map string_of_int ds))) ]
-      in
-      obj
-        (seq_field @ [ ("type", "\"submit\""); ("id", string_of_int id) ]
-        @ num_fields "volume" volume @ num_fields "weight" weight @ num_fields "cap" cap
-        @ speedup_fields @ deps_fields)
-    | Input (En.Cancel id) -> obj (seq_field @ [ ("type", "\"cancel\""); ("id", string_of_int id) ])
-    | Input (En.Advance dt) -> obj (seq_field @ [ ("type", "\"advance\"") ] @ num_fields "dt" dt)
-    | Input (En.Advance_to at) -> obj (seq_field @ [ ("type", "\"advance_to\"") ] @ num_fields "t" at)
-    | Input En.Drain -> obj (seq_field @ [ ("type", "\"drain\"") ])
-    | Output { id; at } ->
-      obj (seq_field @ [ ("type", "\"complete\""); ("id", string_of_int id) ] @ num_fields "t" at)
-    | Budget c -> obj (seq_field @ [ ("type", "\"budget\"") ] @ num_fields "capacity" c)
-    | Policy p ->
-      obj (seq_field @ [ ("type", "\"policy\""); ("policy", Printf.sprintf "\"%s\"" (escape p)) ])
+          Json_out.string b "speedup" (render (fun x -> Json_out.decimal_string (F.to_float x)));
+          Json_out.string b "speedup_repr" (render F.repr))
+        speedup;
+      if deps <> [] then Json_out.string b "deps" (String.concat " " (List.map string_of_int deps))
+    | Input (En.Cancel id) -> ty "cancel"; Json_out.int b "id" id
+    | Input (En.Advance dt) -> ty "advance"; num b "dt" dt
+    | Input (En.Advance_to at) -> ty "advance_to"; num b "t" at
+    | Input En.Drain -> ty "drain"
+    | Output { id; at } -> ty "complete"; Json_out.int b "id" id; num b "t" at
+    | Budget c -> ty "budget"; num b "capacity" c
+    | Policy p -> ty "policy"; Json_out.string b "policy" p);
+    Buffer.add_char b '}';
+    Buffer.contents b
+
+  (** One journal line (no trailing newline) from a rendered
+      {!payload}. [shard], when given, tags the line with the owning
+      shard of a sharded store's merged journal; untagged lines are
+      byte-identical to single-engine journals. *)
+  let frame ?shard ~seq payload : string =
+    match shard with
+    | None -> String.concat "" [ "{\"seq\":"; string_of_int seq; payload ]
+    | Some k ->
+      String.concat "" [ "{\"seq\":"; string_of_int seq; ",\"shard\":"; string_of_int k; payload ]
+
+  (** One journal line (no trailing newline): {!frame} of {!payload}. *)
+  let to_line ?shard ~seq (e : entry) : string = frame ?shard ~seq (payload e)
 
   (* ---------- flat-object JSON parsing ---------- *)
 
@@ -147,31 +131,64 @@ module Make (F : Mwct_field.Field.S) = struct
       skip_ws ();
       if !pos < n && line.[!pos] = c then incr pos else fail (Printf.sprintf "expected '%c'" c)
     in
+    (* [\u00XX] below 0x80: the one-byte code points, which cover
+       every control character the encoder escapes *)
+    let u_escape p =
+      let hex i =
+        match line.[p + i] with
+        | '0' .. '9' as c -> Char.code c - 48
+        | 'a' .. 'f' as c -> Char.code c - 87
+        | 'A' .. 'F' as c -> Char.code c - 55
+        | _ -> 16
+      in
+      if p + 5 < n && line.[p + 2] = '0' && line.[p + 3] = '0' && hex 4 < 8 && hex 5 < 16 then
+        Some (Char.chr ((hex 4 lsl 4) lor hex 5))
+      else None
+    in
     let parse_string () =
       expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string"
-        else
-          match line.[!pos] with
-          | '"' -> incr pos
-          | '\\' ->
-            if !pos + 1 >= n then fail "dangling escape";
-            (match line.[!pos + 1] with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 't' -> Buffer.add_char buf '\t'
-            | c -> fail (Printf.sprintf "unsupported escape '\\%c'" c));
-            pos := !pos + 2;
-            go ()
-          | c ->
-            Buffer.add_char buf c;
-            incr pos;
-            go ()
-      in
-      go ();
-      Buffer.contents buf
+      let start = !pos in
+      while !pos < n && line.[!pos] <> '"' && line.[!pos] <> '\\' do
+        incr pos
+      done;
+      if !pos < n && line.[!pos] = '"' then begin
+        (* no escape: the value is one slice of the line *)
+        incr pos;
+        String.sub line start (!pos - 1 - start)
+      end
+      else begin
+        let buf = Buffer.create 16 in
+        Buffer.add_substring buf line start (!pos - start);
+        let rec go () =
+          if !pos >= n then fail "unterminated string"
+          else
+            match line.[!pos] with
+            | '"' -> incr pos
+            | '\\' ->
+              if !pos + 1 >= n then fail "dangling escape";
+              let c, width =
+                match line.[!pos + 1] with
+                | '"' -> ('"', 2)
+                | '\\' -> ('\\', 2)
+                | 'n' -> ('\n', 2)
+                | 'r' -> ('\r', 2)
+                | 't' -> ('\t', 2)
+                | c -> (
+                  match (c, u_escape !pos) with
+                  | 'u', Some u -> (u, 6)
+                  | _ -> fail (Printf.sprintf "unsupported escape '\\%c'" c))
+              in
+              Buffer.add_char buf c;
+              pos := !pos + width;
+              go ()
+            | c ->
+              Buffer.add_char buf c;
+              incr pos;
+              go ()
+        in
+        go ();
+        Buffer.contents buf
+      end
     in
     let parse_scalar () =
       skip_ws ();
@@ -226,10 +243,10 @@ module Make (F : Mwct_field.Field.S) = struct
         | Some i -> i
         | None -> raise (Parse (Printf.sprintf "field %S: not an integer" k))
       in
-      let get_num k =
+      let get_num k k_repr =
         (* The exact [_repr] string is authoritative; the decimal field
            is only a fallback for hand-written journals. *)
-        let raw = match List.assoc_opt (k ^ "_repr") fields with Some r -> r | None -> get k in
+        let raw = match List.assoc_opt k_repr fields with Some r -> r | None -> get k in
         match F.of_repr raw with
         | Some x -> x
         | None -> raise (Parse (Printf.sprintf "field %S: unparseable number %S" k raw))
@@ -237,7 +254,7 @@ module Make (F : Mwct_field.Field.S) = struct
       let seq = get_int "seq" in
       let entry =
         match get "type" with
-        | "init" -> Init { capacity = get_num "capacity"; policy = get "policy" }
+        | "init" -> Init { capacity = get_num "capacity" "capacity_repr"; policy = get "policy" }
         | "submit" ->
           (* Optional speedup: the exact [_repr] rendering wins, the
              decimal field is the hand-written-journal fallback. *)
@@ -286,18 +303,18 @@ module Make (F : Mwct_field.Field.S) = struct
             (En.Submit
                {
                  id = get_int "id";
-                 volume = get_num "volume";
-                 weight = get_num "weight";
-                 cap = get_num "cap";
+                 volume = get_num "volume" "volume_repr";
+                 weight = get_num "weight" "weight_repr";
+                 cap = get_num "cap" "cap_repr";
                  speedup;
                  deps;
                })
         | "cancel" -> Input (En.Cancel (get_int "id"))
-        | "advance" -> Input (En.Advance (get_num "dt"))
-        | "advance_to" -> Input (En.Advance_to (get_num "t"))
+        | "advance" -> Input (En.Advance (get_num "dt" "dt_repr"))
+        | "advance_to" -> Input (En.Advance_to (get_num "t" "t_repr"))
         | "drain" -> Input En.Drain
-        | "complete" -> Output { id = get_int "id"; at = get_num "t" }
-        | "budget" -> Budget (get_num "capacity")
+        | "complete" -> Output { id = get_int "id"; at = get_num "t" "t_repr" }
+        | "budget" -> Budget (get_num "capacity" "capacity_repr")
         | "policy" -> Policy (get "policy")
         | ty -> raise (Parse (Printf.sprintf "unknown line type %S" ty))
       in

@@ -86,15 +86,22 @@ module Make (F : Mwct_field.Field.S) = struct
     let counters = Array.make tenants 0 in
     let fresh = ref [] in
     let nfresh = ref 0 in
-    let settled = ref [||] in
+    (* the first [nsettled] cells hold the settled ids; the array
+       doubles when full, and is filled only when parents are drawn *)
+    let settled = ref (Array.make 64 0) and nsettled = ref 0 in
+    let settle id =
+      if !nsettled = Array.length !settled then settled := Array.append !settled !settled;
+      !settled.(!nsettled) <- id;
+      incr nsettled
+    in
     let submit ?volume ?cap tenant =
       let id = (counters.(tenant) * tenants) + tenant in
       counters.(tenant) <- counters.(tenant) + 1;
       fresh := id :: !fresh;
       incr nfresh;
       let parents =
-        if (not deps) || Array.length !settled = 0 || draw r 0 2 > 0 then []
-        else [ !settled.(draw r 0 (Array.length !settled - 1)) ]
+        if (not deps) || !nsettled = 0 || draw r 0 2 > 0 then []
+        else [ !settled.(draw r 0 (!nsettled - 1)) ]
       in
       let volume = match volume with Some v -> v | None -> F.of_q (draw r 1 32) 4 in
       let cap = match cap with Some c -> c | None -> F.of_int (draw r 1 4) in
@@ -102,7 +109,7 @@ module Make (F : Mwct_field.Field.S) = struct
         { id; volume; weight = F.of_int bases.(tenant); cap; speedup = None; deps = parents }
     in
     let advance q den =
-      settled := Array.append !settled (Array.of_list !fresh);
+      if deps then List.iter settle !fresh;
       fresh := [];
       nfresh := 0;
       En.Advance (F.of_q q den)

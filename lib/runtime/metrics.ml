@@ -103,19 +103,6 @@ module Make (F : Mwct_field.Field.S) = struct
       Some (Float.pow 2. (float_of_int !b) /. 1e3)
     end
 
-  let json_escape s =
-    let buf = Buffer.create (String.length s) in
-    String.iter
-      (function
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let json_num x = Printf.sprintf "%.12g" x
-
   (** One JSONL metrics line (no trailing newline). [alive] and [now]
       are gauges owned by the engine; [events_per_sec] is wall-clock
       derived and only included when the caller measured it. *)
@@ -131,43 +118,32 @@ module Make (F : Mwct_field.Field.S) = struct
     in
     if memo_valid then m.snap
     else begin
-    let fields =
-      [
-        ("type", "\"metrics\"");
-        ("now", json_num (F.to_float now));
-        ("now_repr", Printf.sprintf "\"%s\"" (json_escape (F.repr now)));
-        ("alive", string_of_int alive);
-        ("submitted", string_of_int m.submitted);
-        ("completed", string_of_int m.completed);
-        ("cancelled", string_of_int m.cancelled);
-        ("events", string_of_int m.events);
-        ("reshares", string_of_int m.reshares);
-        ("alloc_changes", string_of_int m.alloc_changes);
-        ("sum_wc", json_num (F.to_float m.weighted_completion));
-        ("sum_wc_repr", Printf.sprintf "\"%s\"" (json_escape (F.repr m.weighted_completion)));
-        ("sum_wflow", json_num (F.to_float m.weighted_flow));
-        ("sum_wflow_repr", Printf.sprintf "\"%s\"" (json_escape (F.repr m.weighted_flow)));
-      ]
-      @ (if m.lat_count = 0 then []
-         (* Latency fields appear only once something was observed, so
-            runs that never time events keep pre-histogram snapshot
-            bytes. The quantiles are pure functions of the (append-only)
-            histogram, hence memo-safe. *)
-         else begin
-           let q name p =
-             match latency_quantile m p with
-             | Some us -> [ (name, json_num us) ]
-             | None -> []
-           in
-           [ ("lat_events", string_of_int m.lat_count) ]
-           @ q "lat_p50_us" 0.50 @ q "lat_p90_us" 0.90 @ q "lat_p99_us" 0.99
-           @ q "lat_p999_us" 0.999
-         end)
-      @ (match events_per_sec with None -> [] | Some r -> [ ("events_per_sec", json_num r) ])
-    in
-    let s =
-      "{" ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k v) fields) ^ "}"
-    in
+    let b = Buffer.create 320 in
+    let num k x = Json_out.num b k (F.to_float x) (F.repr x) in
+    Buffer.add_string b "{\"type\":\"metrics\"";
+    num "now" now;
+    Json_out.int b "alive" alive;
+    Json_out.int b "submitted" m.submitted;
+    Json_out.int b "completed" m.completed;
+    Json_out.int b "cancelled" m.cancelled;
+    Json_out.int b "events" m.events;
+    Json_out.int b "reshares" m.reshares;
+    Json_out.int b "alloc_changes" m.alloc_changes;
+    num "sum_wc" m.weighted_completion;
+    num "sum_wflow" m.weighted_flow;
+    (* Latency fields appear only once something was observed, so runs
+       that never time events keep pre-histogram snapshot bytes. The
+       quantiles are pure functions of the (append-only) histogram,
+       hence memo-safe. *)
+    if m.lat_count > 0 then begin
+      Json_out.int b "lat_events" m.lat_count;
+      List.iter
+        (fun (k, q) -> Option.iter (Json_out.decimal b k) (latency_quantile m q))
+        [ ("lat_p50_us", 0.50); ("lat_p90_us", 0.90); ("lat_p99_us", 0.99); ("lat_p999_us", 0.999) ]
+    end;
+    Option.iter (Json_out.decimal b "events_per_sec") events_per_sec;
+    Buffer.add_char b '}';
+    let s = Buffer.contents b in
     if events_per_sec = None then begin
       m.snap_state <- Some (copy m);
       m.snap_alive <- alive;

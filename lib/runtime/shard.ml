@@ -125,40 +125,61 @@ module Make (F : Mwct_field.Field.S) = struct
 
   (* Sequence counters always advance, sinks or not: the numbering is
      part of the deterministic output, so attaching a journal to a
-     fresh run of the same stream reproduces the same bytes. *)
+     fresh run of the same stream reproduces the same bytes.
 
-  let memit t ?shard (e : J.entry) : unit =
+     An entry's payload is rendered at most once, on first use: the
+     merged line, the per-shard line and the decision line of one entry
+     (and one tick's [advance_to] in every active shard) frame the same
+     payload, and an entry no sink takes is never rendered. *)
+  type line = { entry : J.entry; payload : string Lazy.t }
+
+  let line e = { entry = e; payload = lazy (J.payload e) }
+
+  let memit t ?shard (l : line) : unit =
     let seq = t.merged_seq in
     t.merged_seq <- seq + 1;
-    if t.merged_sink <> None || t.decision_sink <> None then begin
-      let line = J.to_line ?shard ~seq e in
-      (match t.merged_sink with Some f -> f line | None -> ());
-      match (e, t.decision_sink) with
-      | J.Output _, Some f -> f line
-      | _ -> ()
+    let decision = match l.entry with J.Output _ -> t.decision_sink | _ -> None in
+    if t.merged_sink <> None || decision <> None then begin
+      let s = J.frame ?shard ~seq (Lazy.force l.payload) in
+      (match t.merged_sink with Some f -> f s | None -> ());
+      match decision with Some f -> f s | None -> ()
     end
 
-  let semit t k (e : J.entry) : unit =
+  let semit t k (l : line) : unit =
     let seq = t.shard_seq.(k) in
     t.shard_seq.(k) <- seq + 1;
-    match t.shard_sink with Some f -> f k (J.to_line ~seq e) | None -> ()
+    match t.shard_sink with Some f -> f k (J.frame ~seq (Lazy.force l.payload)) | None -> ()
+
+  (* One entry on the merged journal (tagged with shard [k]) and on
+     shard [k]'s own journal. *)
+  let emit_both t k e =
+    let l = line e in
+    memit t ~shard:k l;
+    semit t k l
 
   (* A tick's lines are buffered and flushed only on success: a failed
      tick records nothing (the engine error already left the store
      inconsistent; the journals at least stay replayable up to it). *)
   type pend = {
-    mutable pm : (int option * J.entry) list;  (* merged, reverse *)
-    ps : J.entry list array;  (* per shard, reverse *)
+    mutable pm : (int option * line) list;  (* merged, reverse *)
+    ps : line list array;  (* per shard, reverse *)
   }
 
   let pend_create nshards = { pm = []; ps = Array.make nshards [] }
-  let push_m p shard e = p.pm <- (shard, e) :: p.pm
-  let push_s p k e = p.ps.(k) <- e :: p.ps.(k)
+  let push_m p shard l = p.pm <- (shard, l) :: p.pm
+  let push_s p k l = p.ps.(k) <- l :: p.ps.(k)
+
+  (* One entry on both journals: the merged line tagged with shard [k]
+     and shard [k]'s own line. *)
+  let push_both p k e =
+    let l = line e in
+    push_m p (Some k) l;
+    push_s p k l
 
   let flush t p =
-    List.iter (fun (shard, e) -> memit t ?shard e) (List.rev p.pm);
+    List.iter (fun (shard, l) -> memit t ?shard l) (List.rev p.pm);
     for k = 0 to t.nshards - 1 do
-      List.iter (fun e -> semit t k e) (List.rev p.ps.(k))
+      List.iter (fun l -> semit t k l) (List.rev p.ps.(k))
     done
 
   (* ---------- construction ---------- *)
@@ -215,9 +236,10 @@ module Make (F : Mwct_field.Field.S) = struct
     (* Every journal opens with the same init line: total capacity and
        the policy label (shard budgets are re-assigned before any work
        runs, so the initial capacity only needs to be replayable). *)
-    memit t (J.Init { capacity; policy = policy_label });
+    let init = line (J.Init { capacity; policy = policy_label }) in
+    memit t init;
     for k = 0 to nshards - 1 do
-      semit t k (J.Init { capacity; policy = policy_label })
+      semit t k init
     done;
     t
 
@@ -421,9 +443,7 @@ module Make (F : Mwct_field.Field.S) = struct
         out;
       for k = 0 to t.nshards - 1 do
         match desired.(k) with
-        | Some b when En.set_capacity t.engines.(k) b ->
-          push_s p k (J.Budget b);
-          push_m p (Some k) (J.Budget b)
+        | Some b when En.set_capacity t.engines.(k) b -> push_both p k (J.Budget b)
         | _ -> ()
       done
     end
@@ -469,10 +489,11 @@ module Make (F : Mwct_field.Field.S) = struct
      absolute target, merge. *)
   let tick t (input_ev : En.event) (target : F.t) : (En.notification list, En.error) result =
     let p = pend_create t.nshards in
-    push_m p None (J.Input input_ev);
+    push_m p None (line (J.Input input_ev));
     reallocate t p;
+    let adv = line (J.Input (En.Advance_to target)) in
     for k = 0 to t.nshards - 1 do
-      if shard_active t k then push_s p k (J.Input (En.Advance_to target))
+      if shard_active t k then push_s p k adv
     done;
     advance_all t target;
     match first_error t with
@@ -482,8 +503,7 @@ module Make (F : Mwct_field.Field.S) = struct
       List.iter
         (fun (k, (n : En.notification)) ->
           forget_task t k n.En.id;
-          push_m p (Some k) (J.Output { id = n.En.id; at = n.En.at });
-          push_s p k (J.Output { id = n.En.id; at = n.En.at }))
+          push_both p k (J.Output { id = n.En.id; at = n.En.at }))
         notes;
       List.iter (fun (k, _) -> promote_activated t k) notes;
       t.now <- target;
@@ -503,7 +523,7 @@ module Make (F : Mwct_field.Field.S) = struct
      minimum shard's completion needs an extra nudge. *)
   let drain t : (En.notification list, En.error) result =
     let p = pend_create t.nshards in
-    push_m p None (J.Input En.Drain);
+    push_m p None (line (J.Input En.Drain));
     let all = ref [] in
     let stall = ref 0 in
     let err = ref None in
@@ -522,8 +542,9 @@ module Make (F : Mwct_field.Field.S) = struct
       match !best with
       | None -> err := Some (En.Invalid "deadlock: alive tasks but no positive share")
       | Some eta -> (
+        let adv = line (J.Input (En.Advance_to eta)) in
         for k = 0 to t.nshards - 1 do
-          if shard_active t k then push_s p k (J.Input (En.Advance_to eta))
+          if shard_active t k then push_s p k adv
         done;
         advance_all t eta;
         match first_error t with
@@ -541,8 +562,7 @@ module Make (F : Mwct_field.Field.S) = struct
             List.iter
               (fun (k, (n : En.notification)) ->
                 forget_task t k n.En.id;
-                push_m p (Some k) (J.Output { id = n.En.id; at = n.En.at });
-                push_s p k (J.Output { id = n.En.id; at = n.En.at }))
+                push_both p k (J.Output { id = n.En.id; at = n.En.at }))
               notes;
             List.iter (fun (k, _) -> promote_activated t k) notes;
             all := List.rev_append notes !all
@@ -569,8 +589,10 @@ module Make (F : Mwct_field.Field.S) = struct
       match En.apply t.engines.(0) e with
       | Error _ as err -> err
       | Ok notes ->
-        memit t (J.Input e);
-        List.iter (fun (n : En.notification) -> memit t (J.Output { id = n.En.id; at = n.En.at })) notes;
+        memit t (line (J.Input e));
+        List.iter
+          (fun (n : En.notification) -> memit t (line (J.Output { id = n.En.id; at = n.En.at })))
+          notes;
         Ok notes
     end
     else
@@ -589,7 +611,7 @@ module Make (F : Mwct_field.Field.S) = struct
           | Ok _ -> ()
           | Error e ->
             invalid_arg ("Shard.apply: clock catch-up failed: " ^ En.error_to_string e));
-          semit t k (J.Input (En.Advance_to t.now))
+          semit t k (line (J.Input (En.Advance_to t.now)))
         end;
         match En.apply t.engines.(k) e with
         | Error _ as err -> err
@@ -605,8 +627,7 @@ module Make (F : Mwct_field.Field.S) = struct
             t.w_sum.(k) <- F.add t.w_sum.(k) weight;
             t.d_sum.(k) <- F.add t.d_sum.(k) cap);
           t.alloc_dirty <- true;
-          memit t ~shard:k (J.Input e);
-          semit t k (J.Input e);
+          emit_both t k (J.Input e);
           t.events <- t.events + 1;
           Ok [])
       | En.Cancel id -> (
@@ -619,8 +640,7 @@ module Make (F : Mwct_field.Field.S) = struct
           let m = En.metrics t.engines.(k) in
           m.M.events <- m.M.events + 1;
           List.iter (fun cid -> forget_task t k cid) cascaded;
-          memit t ~shard:k (J.Input e);
-          semit t k (J.Input e);
+          emit_both t k (J.Input e);
           t.events <- t.events + 1;
           Ok [])
       | En.Advance dt ->

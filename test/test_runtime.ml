@@ -79,6 +79,26 @@ module H (F : Mwct_field.Field.S) = struct
 
   let resolve name = Option.map Sim.P.engine_policy (Sim.P.of_name name)
 
+  (* Policy labels are free text. Quotes, backslashes and control
+     characters must leave the encoder escaped (strict JSON has no raw
+     byte below 0x20) and come back unchanged. *)
+  let check_label_roundtrip () =
+    List.iter
+      (fun label ->
+        List.iter
+          (fun e ->
+            let line = J.to_line ~seq:0 e in
+            if not (String.for_all (fun c -> Char.code c >= 0x20) line) then
+              Alcotest.failf "raw control character in %S" line;
+            match J.of_line line with
+            | Ok (_, ((J.Init { policy; _ } | J.Policy policy) as e')) ->
+              Alcotest.(check string) "label round-trip" label policy;
+              Alcotest.(check string) "codec round-trip" line (J.to_line ~seq:0 e')
+            | Ok _ -> Alcotest.failf "of_line %S: wrong entry kind" line
+            | Error msg -> Alcotest.failf "of_line %S: %s" line msg)
+          [ J.Init { capacity = F.one; policy = label }; J.Policy label ])
+      [ "a\"b"; "back\\slash"; "new\nline"; "tab\there"; "ctl\001x"; "\"\\\n\t\001\r\031" ]
+
   (* Serialize, reparse, replay; check the codec round-trips and the
      replayed engine reaches the identical state. *)
   let check_roundtrip (entries, dump) =
@@ -95,6 +115,7 @@ module H (F : Mwct_field.Field.S) = struct
       (fun line (seq, e) ->
         Alcotest.(check string) "codec round-trip" line (J.to_line ~seq e))
       lines reparsed;
+    check_label_roundtrip ();
     match J.replay ~resolve reparsed with
     | Error msg -> Alcotest.failf "replay: %s" msg
     | Ok eng -> Alcotest.(check string) "replayed state identical" dump (En.dump eng)
@@ -351,6 +372,116 @@ let test_replay_rejects_corruption () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "replay accepted tampered decisions"
 
+(* ---------- journal bytes, pinned ---------- *)
+
+(* One line of every entry kind, untagged and tagged [~shard:1], on
+   both fields. The round-trip properties above would still pass if the
+   format changed the same way on both sides of the codec; these
+   literal strings pin the bytes themselves, since recorded journals
+   must keep replaying. *)
+module Pins (F : Mwct_field.Field.S) = struct
+  module J = Mwct_runtime.Journal.Make (F)
+
+  let q = F.of_q
+
+  let entries : J.entry list =
+    J.
+      [
+        Init { capacity = q 64 1; policy = "wdeq" };
+        Input (En.Submit { id = 3; volume = q 5 2; weight = q 1 1; cap = q 2 1; speedup = None; deps = [] });
+        Input
+          (En.Submit
+             {
+               id = 4;
+               volume = q 1 10;
+               weight = q 3 1;
+               cap = q 3 2;
+               speedup = Some ([| q 0 1; q 1 1; q 3 1 |], [| q 0 1; q 1 1; q 5 3 |]);
+               deps = [];
+             });
+        Input
+          (En.Submit
+             { id = 12; volume = q 123456789 7; weight = q 2 3; cap = q 1 1; speedup = None; deps = [ 3; 4 ] });
+        Input (En.Cancel 7);
+        Input (En.Advance (q 1 1_000_000_000));
+        Input (En.Advance_to (q 1_000_000_000_000_000 1));
+        Input En.Drain;
+        Output { id = 3; at = q 1 3 };
+        Budget (q (-7) 8);
+        Policy "deq";
+      ]
+
+  let check what expected =
+    List.iteri
+      (fun seq (e, (plain, tagged)) ->
+        Alcotest.(check string) (Printf.sprintf "%s seq %d" what seq) plain (J.to_line ~seq e);
+        Alcotest.(check string)
+          (Printf.sprintf "%s seq %d shard 1" what seq)
+          tagged (J.to_line ~shard:1 ~seq e))
+      (List.combine entries expected)
+end
+
+module PinsF = Pins (Mwct_field.Field.Float_field)
+module PinsQ = Pins (Mwct_rational.Rational.Rat_field)
+
+let test_journal_bytes_pinned () =
+  PinsF.check "float"
+    [
+        ( {|{"seq":0,"type":"init","capacity":64,"capacity_repr":"0x1p+6","policy":"wdeq"}|},
+          {|{"seq":0,"shard":1,"type":"init","capacity":64,"capacity_repr":"0x1p+6","policy":"wdeq"}|} );
+        ( {|{"seq":1,"type":"submit","id":3,"volume":2.5,"volume_repr":"0x1.4p+1","weight":1,"weight_repr":"0x1p+0","cap":2,"cap_repr":"0x1p+1"}|},
+          {|{"seq":1,"shard":1,"type":"submit","id":3,"volume":2.5,"volume_repr":"0x1.4p+1","weight":1,"weight_repr":"0x1p+0","cap":2,"cap_repr":"0x1p+1"}|} );
+        ( {|{"seq":2,"type":"submit","id":4,"volume":0.1,"volume_repr":"0x1.999999999999ap-4","weight":3,"weight_repr":"0x1.8p+1","cap":1.5,"cap_repr":"0x1.8p+0","speedup":"0:0 1:1 3:1.66666666667","speedup_repr":"0x0p+0:0x0p+0 0x1p+0:0x1p+0 0x1.8p+1:0x1.aaaaaaaaaaaabp+0"}|},
+          {|{"seq":2,"shard":1,"type":"submit","id":4,"volume":0.1,"volume_repr":"0x1.999999999999ap-4","weight":3,"weight_repr":"0x1.8p+1","cap":1.5,"cap_repr":"0x1.8p+0","speedup":"0:0 1:1 3:1.66666666667","speedup_repr":"0x0p+0:0x0p+0 0x1p+0:0x1p+0 0x1.8p+1:0x1.aaaaaaaaaaaabp+0"}|} );
+        ( {|{"seq":3,"type":"submit","id":12,"volume":17636684.1429,"volume_repr":"0x1.0d1d4c2492492p+24","weight":0.666666666667,"weight_repr":"0x1.5555555555555p-1","cap":1,"cap_repr":"0x1p+0","deps":"3 4"}|},
+          {|{"seq":3,"shard":1,"type":"submit","id":12,"volume":17636684.1429,"volume_repr":"0x1.0d1d4c2492492p+24","weight":0.666666666667,"weight_repr":"0x1.5555555555555p-1","cap":1,"cap_repr":"0x1p+0","deps":"3 4"}|} );
+        ( {|{"seq":4,"type":"cancel","id":7}|},
+          {|{"seq":4,"shard":1,"type":"cancel","id":7}|} );
+        ( {|{"seq":5,"type":"advance","dt":1e-09,"dt_repr":"0x1.12e0be826d695p-30"}|},
+          {|{"seq":5,"shard":1,"type":"advance","dt":1e-09,"dt_repr":"0x1.12e0be826d695p-30"}|} );
+        ( {|{"seq":6,"type":"advance_to","t":1e+15,"t_repr":"0x1.c6bf52634p+49"}|},
+          {|{"seq":6,"shard":1,"type":"advance_to","t":1e+15,"t_repr":"0x1.c6bf52634p+49"}|} );
+        ( {|{"seq":7,"type":"drain"}|},
+          {|{"seq":7,"shard":1,"type":"drain"}|} );
+        ( {|{"seq":8,"type":"complete","id":3,"t":0.333333333333,"t_repr":"0x1.5555555555555p-2"}|},
+          {|{"seq":8,"shard":1,"type":"complete","id":3,"t":0.333333333333,"t_repr":"0x1.5555555555555p-2"}|} );
+        ( {|{"seq":9,"type":"budget","capacity":-0.875,"capacity_repr":"-0x1.cp-1"}|},
+          {|{"seq":9,"shard":1,"type":"budget","capacity":-0.875,"capacity_repr":"-0x1.cp-1"}|} );
+        ( {|{"seq":10,"type":"policy","policy":"deq"}|},
+          {|{"seq":10,"shard":1,"type":"policy","policy":"deq"}|} )
+    ];
+  PinsQ.check "exact"
+    [
+        ( {|{"seq":0,"type":"init","capacity":64,"capacity_repr":"64","policy":"wdeq"}|},
+          {|{"seq":0,"shard":1,"type":"init","capacity":64,"capacity_repr":"64","policy":"wdeq"}|} );
+        ( {|{"seq":1,"type":"submit","id":3,"volume":2.5,"volume_repr":"5/2","weight":1,"weight_repr":"1","cap":2,"cap_repr":"2"}|},
+          {|{"seq":1,"shard":1,"type":"submit","id":3,"volume":2.5,"volume_repr":"5/2","weight":1,"weight_repr":"1","cap":2,"cap_repr":"2"}|} );
+        ( {|{"seq":2,"type":"submit","id":4,"volume":0.1,"volume_repr":"1/10","weight":3,"weight_repr":"3","cap":1.5,"cap_repr":"3/2","speedup":"0:0 1:1 3:1.66666666667","speedup_repr":"0:0 1:1 3:5/3"}|},
+          {|{"seq":2,"shard":1,"type":"submit","id":4,"volume":0.1,"volume_repr":"1/10","weight":3,"weight_repr":"3","cap":1.5,"cap_repr":"3/2","speedup":"0:0 1:1 3:1.66666666667","speedup_repr":"0:0 1:1 3:5/3"}|} );
+        ( {|{"seq":3,"type":"submit","id":12,"volume":17636684.1429,"volume_repr":"123456789/7","weight":0.666666666667,"weight_repr":"2/3","cap":1,"cap_repr":"1","deps":"3 4"}|},
+          {|{"seq":3,"shard":1,"type":"submit","id":12,"volume":17636684.1429,"volume_repr":"123456789/7","weight":0.666666666667,"weight_repr":"2/3","cap":1,"cap_repr":"1","deps":"3 4"}|} );
+        ( {|{"seq":4,"type":"cancel","id":7}|},
+          {|{"seq":4,"shard":1,"type":"cancel","id":7}|} );
+        ( {|{"seq":5,"type":"advance","dt":1e-09,"dt_repr":"1/1000000000"}|},
+          {|{"seq":5,"shard":1,"type":"advance","dt":1e-09,"dt_repr":"1/1000000000"}|} );
+        ( {|{"seq":6,"type":"advance_to","t":1e+15,"t_repr":"1000000000000000"}|},
+          {|{"seq":6,"shard":1,"type":"advance_to","t":1e+15,"t_repr":"1000000000000000"}|} );
+        ( {|{"seq":7,"type":"drain"}|},
+          {|{"seq":7,"shard":1,"type":"drain"}|} );
+        ( {|{"seq":8,"type":"complete","id":3,"t":0.333333333333,"t_repr":"1/3"}|},
+          {|{"seq":8,"shard":1,"type":"complete","id":3,"t":0.333333333333,"t_repr":"1/3"}|} );
+        ( {|{"seq":9,"type":"budget","capacity":-0.875,"capacity_repr":"-7/8"}|},
+          {|{"seq":9,"shard":1,"type":"budget","capacity":-0.875,"capacity_repr":"-7/8"}|} );
+        ( {|{"seq":10,"type":"policy","policy":"deq"}|},
+          {|{"seq":10,"shard":1,"type":"policy","policy":"deq"}|} )
+    ];
+  (* A generated stream with parents drawn from the settled set. *)
+  let module L = Mwct_runtime.Loadgen.Float in
+  let events = L.generate ~deps:true ~pattern:L.Diurnal ~seed:5 ~tenants:4 ~events:256 () in
+  let lines = List.mapi (fun seq ev -> HF.J.to_line ~seq (HF.J.Input ev)) events in
+  Alcotest.(check string) "diurnal stream digest" "834c61aa65771e581608495d9f3376c9"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
 let () =
   let p = QCheck_alcotest.to_alcotest in
   Alcotest.run "runtime"
@@ -366,6 +497,7 @@ let () =
           p prop_replay_roundtrip_float;
           p prop_replay_roundtrip_exact;
           Alcotest.test_case "replay rejects corruption" `Quick test_replay_rejects_corruption;
+          Alcotest.test_case "bytes pinned, every entry kind" `Quick test_journal_bytes_pinned;
         ] );
       ( "bit-identity",
         [
