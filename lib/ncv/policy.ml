@@ -18,7 +18,12 @@
     runs two [List.partition] clip rounds in id order before falling
     back to it, and {!Incremental} replays those rounds before calling
     it. The rounds stay because their output order is the order of
-    simultaneous [complete] lines in every journal (DESIGN.md §6.1). *)
+    simultaneous [complete] lines in every journal (DESIGN.md §6.1).
+    On the float field {!Incremental.shares_into} runs them in a
+    monomorphic body selected through the field witness: the generic
+    body's operations in the same order, so the shares are bit-identical,
+    and a reshare that settles within the rounds allocates nothing
+    (DESIGN.md §12). *)
 
 module Make (F : Mwct_field.Field.S) = struct
   module En = Mwct_runtime.Engine.Make (F)
@@ -139,8 +144,9 @@ module Make (F : Mwct_field.Field.S) = struct
       is {e kinetic} state — a slot-indexed sorted array updated by
       binary-search insert/remove as tasks arrive and leave (O(n) blit
       per event) — so a reshare is linear sweeps plus the kernel. The
-      comparator is a strict total order (ids break ties), so the
-      maintained order restricted to any subset {e is} the fresh sort
+      comparator is a strict total order (ids break ties) wherever its
+      float cross products are exact, so the maintained order
+      restricted to any subset {e is} the fresh sort
       {!frontier_shares} would compute. Bit-identity with
       {!wdeq_shares} is the contract, checked by the differential
       tests. *)
@@ -220,19 +226,61 @@ module Make (F : Mwct_field.Field.S) = struct
         let c = cmp st st.rank.(mid) slot in
         if c = 0 then pos := mid else if c < 0 then lo := mid + 1 else hi := mid - 1
       done;
+      (* Float ratios whose cross products round (weights such as 4/7)
+         can make [cmp] intransitive, so the search may miss a slot that
+         is there: find it by a scan instead. *)
+      if !pos < 0 then
+        for k = 0 to st.n - 1 do
+          if st.rank.(k) = slot then pos := k
+        done;
       let pos = !pos in
       if pos >= 0 then begin
         Array.blit st.rank (pos + 1) st.rank pos (st.n - 1 - pos);
         st.n <- st.n - 1
       end
 
+    (* Clipping cascaded past round 2, whose clips are marked [2] in
+       [status]: append them to [order] (id order) after the [j] round-1
+       clips, then run the frontier on the residual pool [r1 - round-2
+       caps]/[w1 - round-2 weights], read off the kinetic array in ratio
+       order instead of sorted afresh. Shared by both bodies of
+       [shares_into]. *)
+    let cascade st ~n ~(by_id : int array) ~(share : F.t array) ~(order : int array) ~j ~r1 ~w1 =
+      let r2 = ref r1 and w2 = ref w1 in
+      for i = 0 to n - 1 do
+        let s = by_id.(i) in
+        if st.status.(s) = 2 then begin
+          r2 := F.sub !r2 st.d.(s);
+          w2 := F.sub !w2 st.w.(s)
+        end
+      done;
+      let j = ref j in
+      for i = 0 to n - 1 do
+        let s = by_id.(i) in
+        if st.status.(s) = 2 then begin
+          order.(!j) <- s;
+          incr j;
+          share.(s) <- st.d.(s)
+        end
+      done;
+      let m = ref 0 in
+      for k = 0 to st.n - 1 do
+        let s = st.rank.(k) in
+        if st.status.(s) = 0 then begin
+          st.rest2.(!m) <- s;
+          order.(!j + !m) <- s;
+          incr m
+        end
+      done;
+      W.frontier ~r:!r2 ~w:!w2 ~m:!m ~idx:st.rest2 ~weight:st.w ~cap:st.d ~pd:st.pd ~pw:st.pw ~share
+
     (* Replicates [wdeq_shares capacity views] with [views] the [n]
        slots of [by_id] in ascending-id order: fills [share] (slot-
        indexed) and [order] (output order — clipped round 1 in id
        order, then clipped round 2 in id order, then the frontier pool
        in ratio order), exactly the list the adaptive kernel returns. *)
-    let shares_into st ~capacity ~n ~(by_id : int array) ~(share : F.t array) ~(order : int array)
-        =
+    let shares_generic st ~capacity ~n ~(by_id : int array) ~(share : F.t array)
+        ~(order : int array) =
       if n > 0 then begin
         let w0 = ref F.zero in
         for i = 0 to n - 1 do
@@ -298,41 +346,101 @@ module Make (F : Mwct_field.Field.S) = struct
               end
             done
           end
-          else begin
-            (* cascade: clip round 2 (id order), frontier on the rest *)
-            let r2 = ref r1 and w2 = ref w1 in
-            for i = 0 to n - 1 do
-              let s = by_id.(i) in
-              if st.status.(s) = 2 then begin
-                r2 := F.sub !r2 st.d.(s);
-                w2 := F.sub !w2 st.w.(s)
-              end
-            done;
-            let r2 = !r2 and w2 = !w2 in
-            for i = 0 to n - 1 do
-              let s = by_id.(i) in
-              if st.status.(s) = 2 then begin
-                order.(!j) <- s;
-                incr j;
-                share.(s) <- st.d.(s)
-              end
-            done;
-            (* the residual pool in ratio order, read off the kinetic
-               array instead of sorted afresh, then the frontier *)
-            let m = ref 0 in
-            for k = 0 to st.n - 1 do
-              let s = st.rank.(k) in
-              if st.status.(s) = 0 then begin
-                st.rest2.(!m) <- s;
-                order.(!j + !m) <- s;
-                incr m
-              end
-            done;
-            W.frontier ~r:r2 ~w:w2 ~m:!m ~idx:st.rest2 ~weight:st.w ~cap:st.d ~pd:st.pd ~pw:st.pw
-              ~share
-          end
+          else cascade st ~n ~by_id ~share ~order ~j:!j ~r1 ~w1
         end
       end
+
+    (* [shares_generic] on the float field, selected once at functor
+       application through the field witness: in the [Float] branch
+       [F.t = float], so the columns are flat float arrays and every
+       intermediate stays unboxed. Without flambda each [F.add]/[F.mul]/
+       [F.div] of the generic body is an indirect call returning a box,
+       and each column read boxes too: about 18 words per task per
+       reshare. Same operations in the same order ([w0] summed in id
+       order, [F.compare] is [Float.compare], [F.sign x > 0] is
+       [x > 0.]), so shares and output order are bit-identical. Each
+       division is written inline under its [> 0.] guard, which already
+       makes [F.div]'s zero-divisor raise unreachable: a division
+       helper is not inlined without flambda and would box every
+       quotient. A cascade takes the generic [cascade], and with it the
+       one {!W.frontier}. *)
+    let shares_into :
+        state ->
+        capacity:F.t ->
+        n:int ->
+        by_id:int array ->
+        share:F.t array ->
+        order:int array ->
+        unit =
+      match F.witness with
+      | Mwct_field.Field.Any -> shares_generic
+      | Mwct_field.Field.Float ->
+        fun st ~capacity ~n ~by_id ~share ~order ->
+          if n > 0 then begin
+            let w = st.w and d = st.d and status = st.status in
+            let w0 = ref 0. in
+            for i = 0 to n - 1 do
+              w0 := !w0 +. w.(by_id.(i))
+            done;
+            let w0 = !w0 in
+            let nv1 = ref 0 in
+            for i = 0 to n - 1 do
+              let s = by_id.(i) in
+              if Float.compare (d.(s) *. w0) (w.(s) *. capacity) < 0 then begin
+                status.(s) <- 1;
+                incr nv1
+              end
+              else status.(s) <- 0
+            done;
+            if !nv1 = 0 then begin
+              let pos = w0 > 0. in
+              for i = 0 to n - 1 do
+                let s = by_id.(i) in
+                order.(i) <- s;
+                share.(s) <- (if pos then (w.(s) *. capacity) /. w0 else 0.)
+              done
+            end
+            else begin
+              let r1 = ref capacity and w1 = ref w0 in
+              for i = 0 to n - 1 do
+                let s = by_id.(i) in
+                if status.(s) = 1 then begin
+                  r1 := !r1 -. d.(s);
+                  w1 := !w1 -. w.(s)
+                end
+              done;
+              let r1 = !r1 and w1 = !w1 in
+              let nv2 = ref 0 in
+              for i = 0 to n - 1 do
+                let s = by_id.(i) in
+                if status.(s) = 0 && Float.compare (d.(s) *. w1) (w.(s) *. r1) < 0 then begin
+                  status.(s) <- 2;
+                  incr nv2
+                end
+              done;
+              let j = ref 0 in
+              for i = 0 to n - 1 do
+                let s = by_id.(i) in
+                if status.(s) = 1 then begin
+                  order.(!j) <- s;
+                  incr j;
+                  share.(s) <- d.(s)
+                end
+              done;
+              if !nv2 = 0 then begin
+                let pos = w1 > 0. in
+                for i = 0 to n - 1 do
+                  let s = by_id.(i) in
+                  if status.(s) = 0 then begin
+                    order.(!j) <- s;
+                    incr j;
+                    share.(s) <- (if pos then (w.(s) *. r1) /. w1 else 0.)
+                  end
+                done
+              end
+              else cascade st ~n ~by_id ~share ~order ~j:!j ~r1 ~w1
+            end
+          end
 
     let kinetic ~use_weights () : En.kinetic =
       let st = create ~use_weights () in

@@ -250,6 +250,25 @@ module Make (F : Mwct_field.Field.S) = struct
         (Printf.sprintf "fork point %d out of range (stream has %d events)" fork_at
            (List.length events))
     else
+      (* Tenants are [id mod tenants]: a scale of a tenant outside that
+         range matches no task and would price to a silent zero delta. *)
+      let* () =
+        match
+          List.find_map
+            (fun (sp : spec) ->
+              List.find_map
+                (function
+                  | Scale_tenant s when s.tenant >= tenants -> Some (sp.label, s.tenant)
+                  | _ -> None)
+                sp.mutations)
+            branches
+        with
+        | None -> Ok ()
+        | Some (label, tenant) ->
+          Error
+            (Printf.sprintf "branch %S: scale tenant %d out of range (tenants are 0..%d)" label
+               tenant (tenants - 1))
+      in
       let* p0 =
         match resolve policy with
         | Some p -> Ok p

@@ -28,7 +28,8 @@
     (policy output order, the advance/sweep order). On the float field
     the advance loop dispatches to a monomorphic kernel over the flat
     float columns — zero minor-heap allocation per steady-state
-    [Advance] — selected through {!Mwct_field.Field.witness}. *)
+    [Advance] — selected through {!Mwct_field.Field.witness}, and so
+    does the commit sweep that installs a reshare's shares. *)
 
 module Make (F : Mwct_field.Field.S) = struct
   module M = Metrics.Make (F)
@@ -596,11 +597,46 @@ module Make (F : Mwct_field.Field.S) = struct
 
   (* ---------- share cache ---------- *)
 
+  (* Commit the staged shares in output order: count and install every
+     share that changed. *)
+  let commit_generic t =
+    for i = 0 to t.norder - 1 do
+      let s = t.order.(i) in
+      let ns = t.c_new_share.(s) in
+      if not (F.equal t.c_share.(s) ns) then begin
+        t.c_share.(s) <- ns;
+        t.c_changes.(s) <- t.c_changes.(s) + 1;
+        t.metrics.M.alloc_changes <- t.metrics.M.alloc_changes + 1
+      end
+    done
+
+  (* The same sweep on the float field, selected through the witness
+     like [float_ops] below: the generic body boxes both column reads
+     per task. [F.equal] is [Float.equal]; the change total lands in
+     [alloc_changes] once, after the sweep, as the same integer. *)
+  let commit : t -> unit =
+    match F.witness with
+    | Mwct_field.Field.Any -> commit_generic
+    | Mwct_field.Field.Float ->
+      fun t ->
+        let order = t.order and cur = t.c_share and next = t.c_new_share in
+        let changed = ref 0 in
+        for i = 0 to t.norder - 1 do
+          let s = order.(i) in
+          let ns = next.(s) in
+          if not (Float.equal cur.(s) ns) then begin
+            cur.(s) <- ns;
+            t.c_changes.(s) <- t.c_changes.(s) + 1;
+            incr changed
+          end
+        done;
+        t.metrics.M.alloc_changes <- t.metrics.M.alloc_changes + !changed
+
   (* Views in increasing id order — the same order the batch simulator
      fed its policy, and deterministic across runs. The kinetic rule
      fills the staging column directly; the list policy goes through
-     the id indirection once per reshare. Either way the commit sweep
-     below is the single place share changes are counted. *)
+     the id indirection once per reshare. Either way [commit] is the
+     single place share changes are counted. *)
   let recompute_if_dirty t =
     if t.dirty then begin
       (match t.kinetic with
@@ -627,15 +663,7 @@ module Make (F : Mwct_field.Field.S) = struct
               incr n)
           raw;
         t.norder <- !n);
-      for i = 0 to t.norder - 1 do
-        let s = t.order.(i) in
-        let ns = t.c_new_share.(s) in
-        if not (F.equal t.c_share.(s) ns) then begin
-          t.c_share.(s) <- ns;
-          t.c_changes.(s) <- t.c_changes.(s) + 1;
-          t.metrics.M.alloc_changes <- t.metrics.M.alloc_changes + 1
-        end
-      done;
+      commit t;
       t.metrics.M.reshares <- t.metrics.M.reshares + 1;
       t.dirty <- false
     end

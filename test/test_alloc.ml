@@ -17,9 +17,7 @@ module PF = Mwct_ncv.Policy.Make (FF)
 
 (* In steady state (no completions, no reshares pending) an [Advance]
    on the float engine with [record_segments:false] must not allocate:
-   the sweep runs entirely on the struct-of-arrays columns. The window
-   is measured against an identically-shaped empty window so the float
-   boxes allocated by [Gc.minor_words] itself cancel out. *)
+   the sweep runs entirely on the struct-of-arrays columns. *)
 let steady_engine () =
   let eng =
     En.create ~record_segments:false
@@ -33,19 +31,17 @@ let steady_engine () =
   done;
   eng
 
-let check_advance_budget eng =
-  let ev = En.Advance 0.25 in
-  let apply () =
-    match En.apply eng ev with
-    | Ok [] -> ()
-    | Ok _ -> Alcotest.fail "unexpected completion (volumes are effectively infinite)"
-    | Error e -> Alcotest.fail (En.error_to_string e)
-  in
-  (* Warm up: the first advance commits the pending reshare. *)
-  for _ = 1 to 8 do
-    apply ()
+let warmup = 8
+let iters = 1000
+
+(* Fails when [step] allocates: [iters] calls, after [warmup] calls
+   (the first advance commits the pending reshare), are measured
+   against an identically-shaped empty window so the float boxes
+   allocated by [Gc.minor_words] itself cancel out. *)
+let check_budget ~what step =
+  for _ = 1 to warmup do
+    step ()
   done;
-  let iters = 1000 in
   let b0 = Gc.minor_words () in
   for _ = 1 to iters do
     ()
@@ -53,14 +49,23 @@ let check_advance_budget eng =
   let b1 = Gc.minor_words () in
   let w0 = Gc.minor_words () in
   for _ = 1 to iters do
-    apply ()
+    step ()
   done;
   let w1 = Gc.minor_words () in
   let delta = w1 -. w0 -. (b1 -. b0) in
   if delta >= float_of_int iters then
-    Alcotest.failf "steady-state Advance allocates: %.0f minor words over %d advances" delta iters
+    Alcotest.failf "%s allocates: %.0f minor words over %d calls" what delta iters
 
-let test_advance_zero_alloc () = check_advance_budget (steady_engine ())
+let advance eng =
+  let ev = En.Advance 0.25 in
+  fun () ->
+    match En.apply eng ev with
+    | Ok [] -> ()
+    | Ok _ -> Alcotest.fail "unexpected completion (volumes are effectively infinite)"
+    | Error e -> Alcotest.fail (En.error_to_string e)
+
+let test_advance_zero_alloc () =
+  check_budget ~what:"steady-state Advance" (advance (steady_engine ()))
 
 (* A forked engine must keep the same budget: the snapshot/fork copy
    rebuilds the SoA columns and the kinetic frontier, so the steady
@@ -69,7 +74,52 @@ let test_advance_zero_alloc () = check_advance_budget (steady_engine ())
 let test_forked_advance_zero_alloc () =
   let parent = steady_engine () in
   let forked = En.fork ?kinetic:(PF.engine_kinetic PF.Wdeq) (En.snapshot parent) in
-  check_advance_budget forked
+  check_budget ~what:"forked-engine Advance" (advance forked)
+
+(* ---------- allocation-free reshare (float) ---------- *)
+
+(* Every call forces a reshare: the capacity toggles between two
+   let-bound constants (so the harness allocates nothing), then an
+   [Advance] with no completion commits it. The kinetic WDEQ/DEQ rule
+   and the engine's commit sweep must run on unboxed floats, whichever
+   way the clip rounds go. [reshares] must grow by one per call, so
+   the budget cannot be met by skipping the work. *)
+let check_reshare_budget ~policy ~c1 ~c2 tasks =
+  let eng =
+    En.create ~record_segments:false
+      ?kinetic:(PF.engine_kinetic policy)
+      ~capacity:c1 ~policy:(PF.engine_policy policy) ()
+  in
+  List.iteri
+    (fun i (weight, cap) ->
+      match En.submit eng ~id:i ~volume:1e9 ~weight ~cap () with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail (En.error_to_string e))
+    tasks;
+  let advance = advance eng and flip = ref false in
+  let step () =
+    flip := not !flip;
+    ignore (En.set_capacity eng (if !flip then c2 else c1));
+    advance ()
+  in
+  check_budget ~what:"reshare" step;
+  Alcotest.(check int) "one reshare per call" (warmup + iters) (En.metrics eng).En.M.reshares
+
+(* 1000 tasks, fair shares far below the cap: nobody clips. *)
+let test_reshare_noclip () =
+  let tasks = List.init 1000 (fun i -> (float_of_int (1 + (i mod 11)), 4.)) in
+  check_reshare_budget ~policy:PF.Wdeq ~c1:64. ~c2:48. tasks
+
+(* Every fourth task is heavy (weight 10, cap 1) and clips in round 1;
+   the light ones share the residual in round 2. *)
+let test_reshare_round2 () =
+  let tasks = List.init 40 (fun i -> if i mod 4 = 0 then (10., 1.) else (1., 4.)) in
+  check_reshare_budget ~policy:PF.Wdeq ~c1:16. ~c2:20. tasks
+
+(* DEQ with capacity above 40 x 1.5: everyone clips in round 1. *)
+let test_reshare_allclip () =
+  let tasks = List.init 40 (fun _ -> (1., 1.5)) in
+  check_reshare_budget ~policy:PF.Deq ~c1:64. ~c2:80. tasks
 
 (* ---------- incremental frontier vs list kernel vs reference ---------- *)
 
@@ -171,6 +221,40 @@ module DH (F : Mwct_field.Field.S) = struct
     !ok
 end
 
+(* Weights in sevenths make the float cross products of the ratio
+   order round, so the order is not transitive everywhere and the
+   binary search in [remove] can miss a tracked slot. A miss used to
+   leave the slot in the kinetic array, which then outgrew its columns
+   (Invalid_argument "Array.blit" on a later submit). The engine must
+   run such a churn to the end. *)
+let test_intransitive_ratios () =
+  let eng =
+    En.create ~record_segments:false
+      ?kinetic:(PF.engine_kinetic PF.Wdeq)
+      ~capacity:64. ~policy:(PF.engine_policy PF.Wdeq) ()
+  in
+  let rng = Rng.create 3 in
+  let alive = ref [] and next = ref 0 in
+  let ok = function Ok _ -> () | Error e -> Alcotest.fail (En.error_to_string e) in
+  for _ = 1 to 30 do
+    for _ = 1 to 100 do
+      let id = !next in
+      incr next;
+      ok
+        (En.submit eng ~id ~volume:1e9
+           ~weight:(float_of_int (1 + Rng.int rng 11) /. 7.)
+           ~cap:(float_of_int (1 + Rng.int rng 5))
+           ());
+      alive := id :: !alive
+    done;
+    let ids = Array.of_list !alive in
+    Rng.shuffle rng ids;
+    Array.iteri (fun i id -> if i < 50 then ok (En.cancel eng id)) ids;
+    alive := List.filteri (fun i _ -> i >= 50) (Array.to_list ids);
+    ok (En.apply eng (En.Advance 0.25))
+  done;
+  Alcotest.(check int) "alive" 1500 (En.alive_count eng)
+
 module DF = DH (FF)
 module DQ = DH (QF)
 
@@ -201,5 +285,19 @@ let () =
           Alcotest.test_case "forked-engine Advance is allocation-free" `Quick
             test_forked_advance_zero_alloc;
         ] );
-      ("incremental-frontier", [ p prop_incremental_float; p prop_incremental_exact ]);
+      ( "reshare-budget",
+        [
+          Alcotest.test_case "WDEQ reshare, nobody clips, is allocation-free" `Quick
+            test_reshare_noclip;
+          Alcotest.test_case "WDEQ reshare settling in round 2 is allocation-free" `Quick
+            test_reshare_round2;
+          Alcotest.test_case "DEQ reshare, everyone clips, is allocation-free" `Quick
+            test_reshare_allclip;
+        ] );
+      ( "incremental-frontier",
+        [
+          p prop_incremental_float;
+          p prop_incremental_exact;
+          Alcotest.test_case "intransitive float ratios" `Quick test_intransitive_ratios;
+        ] );
     ]

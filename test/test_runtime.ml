@@ -250,6 +250,99 @@ let prop_nosegments_identity_exact =
       HQ.check_nosegments_identity ~seed:(Hashtbl.hash spec) inst;
       true)
 
+(* ---------- churn-scale bit-identity (float) ---------- *)
+
+module PF = HF.Sim.P
+
+(* A deterministic churn at 400 alive tasks, the benchsuite's churn
+   shape scaled down: each round refills the alive set, cancels four of
+   the tasks it just submitted (alive under any policy: no time has
+   passed since), then advances a quarter unit; a drain ends it. At
+   this size a reshare almost never clips. Each weight carries 49
+   significant bits: a pool sum of 400 of them rounds, so the last bits
+   of every share depend on the order in which it is summed, while a
+   weight times a cap (at most 3 bits) stays exact and the ratio order
+   stays a total order. *)
+let churn_events () =
+  let eng =
+    HF.En.create ~record_segments:false
+      ?kinetic:(PF.engine_kinetic PF.Wdeq)
+      ~capacity:64. ~policy:(PF.engine_policy PF.Wdeq) ()
+  in
+  let rng = Rng.create 16 in
+  let out = ref [] in
+  let apply ev =
+    ignore (HF.ok (HF.En.apply eng ev));
+    out := ev :: !out
+  in
+  let next_id = ref 0 in
+  for _ = 1 to 120 do
+    let fresh = ref [] in
+    while HF.En.alive_count eng < 400 do
+      let id = !next_id in
+      incr next_id;
+      fresh := id :: !fresh;
+      apply
+        (HF.En.Submit
+           {
+             id;
+             volume = 0.5 +. (float_of_int (Rng.int_in rng 0 64) /. 16.);
+             weight =
+               float_of_int (1 + Rng.int_in rng 0 10)
+               +. (float_of_int (Rng.int_in rng 0 0xfffff) *. 0x1p-45);
+             cap = float_of_int (1 + Rng.int_in rng 0 4);
+             speedup = None;
+             deps = [];
+           })
+    done;
+    List.iteri (fun i id -> if i < 4 then apply (HF.En.Cancel id)) !fresh;
+    apply (HF.En.Advance 0.25)
+  done;
+  apply HF.En.Drain;
+  List.rev !out
+
+(* Journal lines and final metrics of one engine over the stream. *)
+let churn_run ?record_segments ?kinetic policy events =
+  let eng =
+    HF.En.create ?record_segments ?kinetic ~capacity:64. ~policy:(PF.engine_policy policy) ()
+  in
+  let lines = ref [] and seq = ref 0 in
+  let push e =
+    lines := HF.J.to_line ~seq:!seq e :: !lines;
+    incr seq
+  in
+  push (HF.J.Init { capacity = 64.; policy = PF.name policy });
+  List.iter
+    (fun ev ->
+      let notes = HF.ok (HF.En.apply eng ev) in
+      push (HF.J.Input ev);
+      List.iter
+        (fun (nt : HF.En.notification) -> push (HF.J.Output { id = nt.HF.En.id; at = nt.HF.En.at }))
+        notes)
+    events;
+  (List.rev !lines, HF.En.metrics_json eng)
+
+(* The kinetic engine on the float fast paths against the list-policy
+   engine on the generic ones, at churn scale, for WDEQ and DEQ: same
+   journal bytes, same final metrics. The digests were captured from
+   the code before the float reshare bodies existed, so they pin the
+   bytes themselves, not only the agreement of the two engines. *)
+let test_churn_identity () =
+  let events = churn_events () in
+  List.iter
+    (fun (policy, digest) ->
+      let what = PF.name policy in
+      let kl, km =
+        churn_run ~record_segments:false ?kinetic:(PF.engine_kinetic policy) policy events
+      in
+      let ll, lm = churn_run policy events in
+      Alcotest.(check int) (what ^ ": journal length") (List.length ll) (List.length kl);
+      List.iter2 (fun a b -> Alcotest.(check string) (what ^ ": journal line") a b) ll kl;
+      Alcotest.(check string) (what ^ ": final metrics") lm km;
+      Alcotest.(check string) (what ^ ": journal digest") digest
+        (Digest.to_hex (Digest.string (String.concat "\n" kl))))
+    [ (PF.Wdeq, "a502fb5ee8c316980f2909e870c97f69"); (PF.Deq, "d71700fe7ab063bbdfbe18709e38d3e0") ]
+
 (* ---------- errors ---------- *)
 
 let test_cancel_unknown () =
@@ -505,6 +598,8 @@ let () =
           p prop_kinetic_identity_exact;
           p prop_nosegments_identity_float;
           p prop_nosegments_identity_exact;
+          Alcotest.test_case "kinetic = list at churn scale, bytes pinned" `Quick
+            test_churn_identity;
         ] );
       ( "errors",
         [

@@ -154,6 +154,27 @@ let test_branch_report () =
   Alcotest.(check (float 1e-9)) "tenant deltas sum to the total" double.B.d_wc
     (Array.fold_left ( +. ) 0.0 double.B.tenant_d_wc)
 
+(* Tenants are [id mod tenants], so at two tenants a scale of tenant 2
+   matches no task: it is refused, naming the branch, before any
+   replay. Tenant 1 is in range and still runs. *)
+let test_scale_tenant_range () =
+  let events = [ submit 0 1.0 1.0; submit 1 1.0 1.0; En.Advance 0.5; submit 3 1.0 1.0; En.Drain ] in
+  let run tenant =
+    B.run ~resolve ~kinetic_for ~tenants:2 ~capacity:1.0 ~policy:"wdeq" ~events ~fork_at:3
+      ~branches:[ { B.label = "s"; mutations = [ B.Scale_tenant { tenant; num = 2; den = 1 } ] } ]
+      ()
+  in
+  (match run 2 with
+  | Ok _ -> Alcotest.fail "scale of tenant 2 at 2 tenants must be refused"
+  | Error e ->
+    Alcotest.(check string) "error names the branch and the range"
+      "branch \"s\": scale tenant 2 out of range (tenants are 0..1)" e);
+  match run 1 with
+  | Ok { B.branches = [ o ]; _ } ->
+    Alcotest.(check bool) "tenant 1 in range: the scale applies" true (o.B.d_wc > 0.0)
+  | Ok _ -> Alcotest.fail "one branch expected"
+  | Error e -> Alcotest.fail e
+
 (* ---------- branch spec grammar ---------- *)
 
 let test_spec_grammar () =
@@ -285,6 +306,7 @@ let () =
       ( "branch",
         [
           Alcotest.test_case "branch report" `Quick test_branch_report;
+          Alcotest.test_case "scale tenant out of range refused" `Quick test_scale_tenant_range;
           Alcotest.test_case "spec grammar" `Quick test_spec_grammar;
         ] );
       ( "loadgen",
