@@ -679,7 +679,7 @@ let run_sharded ~quick ~nshards =
      store's transparent shim) up to the requested width. On one core
      the win is algorithmic — per-tick budgets confine each
      completion's reshare to its own shard, O(alive/S) instead of
-     O(alive) — so events/s climbs with S even without domains. *)
+     O(alive) — so events/s climbs with S on one domain. *)
   let widths =
     let base = if quick then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
     if List.mem nshards base then base else base @ [ nshards ]
@@ -687,10 +687,9 @@ let run_sharded ~quick ~nshards =
   let scaling =
     List.map
       (fun s ->
-        let input_events, completions, elapsed_s, st =
+        let input_events, completions, elapsed_s, _ =
           sharded_throughput ~rounds ~alive_target ~nshards:s ()
         in
-        StF.shutdown st;
         let eps = float_of_int input_events /. elapsed_s in
         Printf.printf
           "  shards=%d input_events=%d completions=%d elapsed=%.3fs -> %.0f events/s\n" s
@@ -710,7 +709,6 @@ let run_sharded ~quick ~nshards =
   let p50, p90, p99, p999 = lat in
   Printf.printf "  event latency (shards=%d): p50=%.1fus p90=%.1fus p99=%.1fus p999=%.1fus\n"
     nshards p50 p90 p99 p999;
-  StF.shutdown st;
   (sharded_eps, scaling, lat)
 
 (* Stdin ingestion: lines/s of the seed's per-line [input_line] loop vs

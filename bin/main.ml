@@ -619,7 +619,6 @@ struct
        input stream still initializes the store, so the line (and exit
        0) is emitted even when no event ever arrived. *)
     print_endline (St.metrics_json (get_store ()));
-    (match !store with Some s -> St.shutdown s | None -> ());
     (match record_oc with Some oc -> close_out oc | None -> ());
     Array.iter close_out !shard_ocs;
     if ic != stdin then close_in ic;
@@ -670,8 +669,7 @@ let serve_cmd =
          & info [ "shards" ] ~docv:"N"
              ~doc:
                "Partition tasks across N engine shards re-budgeted each tick by a cross-shard \
-                WDEQ allocator (domain-parallel on OCaml 5). N=1 is byte-identical to the \
-                unsharded engine.")
+                WDEQ allocator. N=1 is byte-identical to the unsharded engine.")
   in
   let tenant_key =
     Arg.(value & opt string "hash"

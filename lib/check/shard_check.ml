@@ -16,6 +16,9 @@
     - {!check_merged_determinism} — the merged journal's input lines,
       fed back through a fresh store, must reproduce every journal byte
       (merged and per-shard).
+    - {!check_refusals_leave_no_trace} — events the store must refuse,
+      inserted into a stream, each return [Error] and change no journal
+      byte and no dump, even when they meet a lagging shard.
     - {!check_flat_agreement} — on a drained stream the completion
       {e set} (not times) must match a flat single engine's: sharding
       reorders work, it must never lose or invent a task.
@@ -111,11 +114,9 @@ module Make (F : Mwct_field.Field.S) = struct
     shards : string list array;  (* chronological, per shard *)
   }
 
-  (** Run a stream through a sharded store, capturing every journal
-      line. Engine errors are reported — generated streams must apply
-      cleanly. *)
-  let run_store ?(record_segments = true) ~nshards ~route ~capacity (stream : En.event list) :
-      (capture, string) result =
+  (* A fresh store whose sinks keep every journal line, and the
+     function that returns what they kept so far. *)
+  let capturing_store ~record_segments ~nshards ~route ~capacity : St.t * (unit -> capture) =
     let merged = ref [] in
     let shards = Array.make nshards [] in
     let store =
@@ -124,6 +125,14 @@ module Make (F : Mwct_field.Field.S) = struct
         ~shard_sink:(fun k l -> shards.(k) <- l :: shards.(k))
         ~allocator:(policy ()) ~policy:(policy ()) ~kinetic ~policy_label:"wdeq" ()
     in
+    (store, fun () -> { store; merged = List.rev !merged; shards = Array.map List.rev shards })
+
+  (** Run a stream through a sharded store, capturing every journal
+      line. Engine errors are reported — generated streams must apply
+      cleanly. *)
+  let run_store ?(record_segments = true) ~nshards ~route ~capacity (stream : En.event list) :
+      (capture, string) result =
+    let store, captured = capturing_store ~record_segments ~nshards ~route ~capacity in
     let err = ref None in
     List.iteri
       (fun i ev ->
@@ -132,11 +141,7 @@ module Make (F : Mwct_field.Field.S) = struct
           | Ok _ -> ()
           | Error e -> err := Some (Printf.sprintf "event %d: %s" i (En.error_to_string e)))
       stream;
-    St.shutdown store;
-    match !err with
-    | Some msg -> Error msg
-    | None ->
-      Ok { store; merged = List.rev !merged; shards = Array.map List.rev shards }
+    match !err with Some msg -> Error msg | None -> Ok (captured ())
 
   (** Drive a plain engine by hand, producing the same journal a
       single-shard store (or the pre-shard serve loop) would: init
@@ -258,6 +263,125 @@ module Make (F : Mwct_field.Field.S) = struct
         shards (k + 1)
     in
     shards 0
+
+  (** A refused event leaves no trace. Before clean event [i],
+      [refusals store i] lists events the store must refuse; each must
+      return [Error], and the merged journal, every per-shard journal
+      and the dump must equal those of the clean stream run alone. *)
+  let check_no_trace ~nshards ~route ~(clean : En.event list)
+      ~(refusals : St.t -> int -> En.event list) : (unit, string) result =
+    let capacity = F.of_int 4 in
+    let* c = run_store ~nshards ~route ~capacity clean in
+    let store, captured = capturing_store ~record_segments:true ~nshards ~route ~capacity in
+    let refuse i ev =
+      match St.apply store ev with
+      | Error _ -> Ok ()
+      | Ok _ -> Error (Printf.sprintf "before event %d: accepted %s" i (J.to_line ~seq:i (J.Input ev)))
+    in
+    let rec go i = function
+      | [] -> Ok ()
+      | ev :: rest -> (
+        let* () = List.fold_left (fun acc r -> Result.bind acc (fun () -> refuse i r)) (Ok ()) (refusals store i) in
+        match St.apply store ev with
+        | Ok _ -> go (i + 1) rest
+        | Error e -> Error (Printf.sprintf "event %d: %s" i (En.error_to_string e)))
+    in
+    let* () = go 0 clean in
+    let d = captured () in
+    let* () = diff_lines "merged journal (with refusals)" c.merged d.merged in
+    let rec shards k =
+      if k = nshards then Ok ()
+      else
+        let* () = diff_lines (Printf.sprintf "shard %d journal (with refusals)" k) c.shards.(k) d.shards.(k) in
+        shards (k + 1)
+    in
+    let* () = shards 0 in
+    if St.dump c.store <> St.dump store then Error "dump differs with refusals inserted" else Ok ()
+
+  (** {!check_no_trace} on a {!gen_stream} stream. Before every event
+      it inserts a zero-volume submit on each shard that is empty and
+      lagging (the lazy clock sync's catch-up path) and, at random,
+      zero-volume submits elsewhere, duplicates of submitted ids (as
+      sent, and with their deps replaced), submits with an unknown
+      dependency, cancels of unknown ids and, with [deps], submits
+      whose two parents are on different shards. At least one refused
+      submit must have met an empty lagging shard. *)
+  let check_refusals_leave_no_trace ?(deps = false) (draw : Instances.draw) ~nshards ~route ~len :
+      (unit, string) result =
+    let clean = gen_stream draw ~deps ~len () in
+    let clean_arr = Array.of_list clean in
+    (* ids at or above [fresh] appear nowhere in the stream *)
+    let fresh = ref (10 * (len + 1)) in
+    let fresh_id () =
+      incr fresh;
+      !fresh
+    in
+    let rec fresh_on store k =
+      let id = fresh_id () in
+      if St.shard_of store id = k then id else fresh_on store k
+    in
+    let submit ?(deps = []) ~volume id =
+      En.Submit { id; volume; weight = F.one; cap = F.one; speedup = None; deps }
+    in
+    let lagging_hits = ref 0 in
+    let refusals store i =
+      let engines = St.engines store in
+      let lagging =
+        List.filter_map
+          (fun k ->
+            let eng = engines.(k) in
+            if
+              En.alive_count eng = 0
+              && En.dormant_count eng = 0
+              && F.compare (En.now eng) (St.now store) < 0
+            then begin
+              incr lagging_hits;
+              Some (submit ~volume:F.zero (fresh_on store k))
+            end
+            else None)
+          (List.init nshards Fun.id)
+      in
+      let submitted =
+        List.filter_map
+          (function En.Submit r as ev -> Some (r.id, ev) | _ -> None)
+          (Array.to_list (Array.sub clean_arr 0 i))
+      in
+      let pick l = List.nth l (draw 0 (List.length l - 1)) in
+      let maybe gen = if draw 0 2 = 0 then gen () else [] in
+      let dups () =
+        match submitted with
+        | [] -> []
+        | _ -> (
+          let _, ev = pick submitted in
+          let other, _ = pick submitted in
+          match ev with
+          | En.Submit r -> [ ev; En.Submit { r with deps = [] }; En.Submit { r with deps = [ other ] } ]
+          | _ -> [])
+      in
+      let split () =
+        match submitted with
+        | [] -> []
+        | _ -> (
+          let a, _ = pick submitted in
+          match List.filter (fun (b, _) -> St.shard_of store b <> St.shard_of store a) submitted with
+          | [] -> []
+          | others ->
+            let b, _ = pick others in
+            [ submit ~volume:F.one ~deps:[ a; b ] (fresh_id ()) ])
+      in
+      let zero = maybe (fun () -> [ submit ~volume:F.zero (fresh_id ()) ]) in
+      let dup = maybe dups in
+      let unknown_dep =
+        maybe (fun () ->
+            let parent = fresh_id () in
+            [ submit ~volume:F.one ~deps:[ parent ] (fresh_id ()) ])
+      in
+      let cancel = maybe (fun () -> [ En.Cancel (fresh_id ()) ]) in
+      let split = if deps then maybe split else [] in
+      List.concat [ lagging; zero; dup; unknown_dep; cancel; split ]
+    in
+    let* () = check_no_trace ~nshards ~route ~clean ~refusals in
+    if !lagging_hits = 0 then Error "no refused submit met an empty lagging shard" else Ok ()
 
   (** On a drained stream the sharded completion set must equal the
       flat single engine's — same completed task ids, none lost to

@@ -1100,7 +1100,9 @@ module Make (F : Mwct_field.Field.S) = struct
     in
     go [] (List.sort_uniq Stdlib.compare deps)
 
-  let submit t ?speedup ?(deps = []) ~id ~volume ~weight ~cap () : (unit, error) result =
+  (** Every check [submit] makes, with nothing changed: the error
+      [submit] would return, or the unmet parents it would wait on. *)
+  let check_submit t ~speedup ~deps ~id ~volume ~weight ~cap : (int list, error) result =
     if Hashtbl.mem t.slot_of_id id || Hashtbl.mem t.closed_tbl id then Error (Duplicate_task id)
     else if F.sign volume <= 0 then
       Error (Invalid (Printf.sprintf "task %d: volume must be positive" id))
@@ -1112,10 +1114,12 @@ module Make (F : Mwct_field.Field.S) = struct
         match speedup with None -> None | Some (bx, by) -> check_curve id bx by
       with
       | Some msg -> Error (Invalid msg)
-      | None -> begin
-      match check_deps t id deps with
-      | Error msg -> Error (Invalid msg)
-      | Ok unmet ->
+      | None -> Result.map_error (fun msg -> Invalid msg) (check_deps t id deps)
+
+  let submit t ?speedup ?(deps = []) ~id ~volume ~weight ~cap () : (unit, error) result =
+    match check_submit t ~speedup ~deps ~id ~volume ~weight ~cap with
+    | Error e -> Error e
+    | Ok unmet -> begin
       let slot = alloc_slot t in
       t.c_volume.(slot) <- volume;
       t.c_weight.(slot) <- weight;

@@ -1,5 +1,5 @@
-(** Sharded multi-tenant store: domain-parallel engine shards under a
-    cross-shard WDEQ capacity allocator (DESIGN.md §14).
+(** Sharded multi-tenant store: engine shards under a cross-shard WDEQ
+    capacity allocator (DESIGN.md §14).
 
     Tasks are partitioned across [nshards] inner engines by a routing
     function of the task id ({!route}); each shard is a complete PR 6
@@ -11,10 +11,10 @@
     pseudo-task with weight [Σ weight] and cap [min (Σ cap) shard_cap]
     over its alive set. The budgets are applied through
     {!Engine.Make.set_capacity} and stay {e fixed for the whole tick}:
-    shards advance to the same absolute target time independently (in
-    parallel on OCaml 5 via {!Par}), so a completion's reshare and
-    sweep cost O(n/S) inside its own shard instead of O(n) globally —
-    that, not the domains, is also the sequential win.
+    shards advance to the same absolute target time independently, one
+    after another in ascending shard order on the calling domain, so a
+    completion's reshare and sweep cost O(n/S) inside its own shard
+    instead of O(n) globally.
 
     Budgets are per-tick, not per-completion, so the share profile is
     {e not} the flat single-engine WDEQ profile (hierarchical max-min
@@ -45,15 +45,18 @@
     alive, zero dormant tasks) are left out of a tick entirely — no
     [Advance_to] dispatch, no per-shard journal line — and their clock
     lags; the store catches a lagging shard up with one absolute
-    [advance_to] immediately before the next submit routed to it, so
-    [submitted_at] still holds the lockstep bits. A tick that fails
+    [advance_to] immediately before the next submit routed to it that
+    the engine accepts, so [submitted_at] still holds the lockstep bits
+    and a refused submit leaves no trace. A tick that fails
     (engine error in any shard) records nothing and leaves the store
     poisoned, matching the engine's own error contract.
 
-    {b Precedence.} A submit whose [deps] are unmet routes to the shard
-    of its {e first} parent (all parents must live in one shard — the
-    engine rejects a parent it cannot see as an unknown dependency),
-    and the diverted id is remembered so cancels and lookups follow it.
+    {b Precedence.} A submit with [deps] routes to the shard of its {e
+    first} parent, and the diverted id is remembered so cancels,
+    lookups and duplicate checks follow it. All parents must live in
+    one shard: a parent known on another shard is refused by name
+    ("dependencies 1 and 2 are on shards 1 and 0"), and one no shard
+    knows gets the engine's "unknown dependency".
     Dormant tasks are excluded from the allocator summaries until the
     engine activates them (detected after each tick's completions);
     cancel cascades ({!Engine.Make.cancel}) evict every closed id from
@@ -114,8 +117,6 @@ module Make (F : Mwct_field.Field.S) = struct
     merged_sink : (string -> unit) option;
     decision_sink : (string -> unit) option;
     shard_sink : (int -> string -> unit) option;
-    pool : Par.t;
-    results : (En.notification list, En.error) result array;  (* Par scratch *)
     agg : M.t;  (* aggregated metrics + the serve latency histogram *)
     mutable events : int;  (* store-level input events *)
     single : bool;  (* nshards = 1: plain-engine delegation mode *)
@@ -226,8 +227,6 @@ module Make (F : Mwct_field.Field.S) = struct
         merged_sink;
         decision_sink;
         shard_sink;
-        pool = Par.create nshards;
-        results = Array.make nshards (Ok []);
         agg = M.create ();
         events = 0;
         single = nshards = 1;
@@ -348,8 +347,10 @@ module Make (F : Mwct_field.Field.S) = struct
       Buffer.contents b
     end
 
-  (** Join the worker domains (no-op on sequential builds). *)
-  let shutdown t = Par.shutdown t.pool
+  (** A no-op: the store holds nothing beyond its heap, since every
+      shard advances on the calling domain. Callers may still end a
+      store's life with it. *)
+  let shutdown (_ : t) = ()
 
   (* ---------- summaries & allocation ---------- *)
 
@@ -451,39 +452,32 @@ module Make (F : Mwct_field.Field.S) = struct
 
   (* ---------- tick machinery ---------- *)
 
-  (* Lowest-index error wins, like ascending-order sequential
-     execution would surface it. *)
-  let first_error t : En.error option =
+  (* Advance the active shards to [target] in ascending shard order;
+     empty shards are skipped (lazy clock sync — they catch up before
+     their next submit). Every active shard advances even after a lower
+     one errs, and the lowest-index error wins. On success the shards'
+     completions come back merged into one stream ordered by (time,
+     shard): within a shard the list is already chronological, and the
+     sort is stable, so simultaneous completions keep shard order and
+     same-shard order. *)
+  let advance_all t target : ((int * En.notification) list, En.error) result =
     let err = ref None in
-    for k = t.nshards - 1 downto 0 do
-      match t.results.(k) with Error e -> err := Some e | Ok _ -> ()
-    done;
-    !err
-
-  (* Merge the shards' completion lists into one stream ordered by
-     (time, shard) — within a shard the list is already chronological,
-     and the sort is stable, so simultaneous completions keep shard
-     order and same-shard order. *)
-  let merge_notes t : (int * En.notification) list =
     let all = ref [] in
-    for k = t.nshards - 1 downto 0 do
-      match t.results.(k) with
-      | Ok notes -> all := List.rev_append (List.rev_map (fun n -> (k, n)) notes) !all
-      | Error _ -> ()
+    for k = 0 to t.nshards - 1 do
+      if shard_active t k then
+        match En.apply t.engines.(k) (En.Advance_to target) with
+        | Ok notes -> all := List.rev_append (List.map (fun n -> (k, n)) notes) !all
+        | Error e -> if !err = None then err := Some e
     done;
-    List.stable_sort
-      (fun (k1, (n1 : En.notification)) (k2, n2) ->
-        let c = F.compare n1.En.at n2.En.at in
-        if c <> 0 then c else Stdlib.compare k1 k2)
-      !all
-
-  (* Advance the active shards to [target] in parallel; empty shards
-     are skipped (lazy clock sync — they catch up before their next
-     submit) and contribute an empty result. *)
-  let advance_all t target =
-    Par.run t.pool (fun k ->
-        t.results.(k) <-
-          (if shard_active t k then En.apply t.engines.(k) (En.Advance_to target) else Ok []))
+    match !err with
+    | Some e -> Error e
+    | None ->
+      Ok
+        (List.stable_sort
+           (fun (k1, (n1 : En.notification)) (k2, n2) ->
+             let c = F.compare n1.En.at n2.En.at in
+             if c <> 0 then c else Stdlib.compare k1 k2)
+           (List.rev !all))
 
   (* One input tick: re-budget, drive every active shard to the same
      absolute target, merge. *)
@@ -495,11 +489,9 @@ module Make (F : Mwct_field.Field.S) = struct
     for k = 0 to t.nshards - 1 do
       if shard_active t k then push_s p k adv
     done;
-    advance_all t target;
-    match first_error t with
-    | Some e -> Error e
-    | None ->
-      let notes = merge_notes t in
+    match advance_all t target with
+    | Error e -> Error e
+    | Ok notes ->
       List.iter
         (fun (k, (n : En.notification)) ->
           forget_task t k n.En.id;
@@ -546,12 +538,10 @@ module Make (F : Mwct_field.Field.S) = struct
         for k = 0 to t.nshards - 1 do
           if shard_active t k then push_s p k adv
         done;
-        advance_all t eta;
-        match first_error t with
-        | Some e -> err := Some e
-        | None ->
+        match advance_all t eta with
+        | Error e -> err := Some e
+        | Ok notes ->
           t.now <- eta;
-          let notes = merge_notes t in
           if notes = [] then begin
             incr stall;
             if !stall > stall_budget then
@@ -577,6 +567,31 @@ module Make (F : Mwct_field.Field.S) = struct
 
   (* ---------- input events ---------- *)
 
+  (* Whether shard [k]'s engine knows [id]: alive, dormant or closed. *)
+  let known t k id = En.remaining t.engines.(k) id <> None || En.find_closed t.engines.(k) id <> None
+
+  (* A task's parents must share a shard: the dependent lands on its
+     first parent's shard [k], whose engine cannot see the others. A
+     later parent known on another shard is refused here, naming both;
+     an id no shard knows is left to the engine's "unknown dependency". *)
+  let split_parents t id k deps : En.error option =
+    match deps with
+    | [] | [ _ ] -> None
+    | p :: rest when known t k p ->
+      List.find_map
+        (fun d ->
+          let kd = shard_of t d in
+          if kd <> k && known t kd d then
+            Some
+              (En.Invalid
+                 (Printf.sprintf
+                    "task %d: dependencies %d and %d are on shards %d and %d; a task's parents \
+                     must share a shard"
+                    id p d k kd))
+          else None)
+        rest
+    | _ -> None
+
   (** Apply one input event; notifications are the completions it
       triggered, merged across shards in chronological order. Failures
       record nothing. With one shard this delegates straight to
@@ -597,39 +612,57 @@ module Make (F : Mwct_field.Field.S) = struct
     end
     else
       match e with
-      | En.Submit { id; weight; cap; deps; _ } -> (
+      | En.Submit { id; volume; weight; cap; speedup; deps } -> (
         (* A dependent task must see its parents: route it to the first
            parent's shard (the engine rejects parents it cannot see).
-           The diverted id is remembered in [home] for later lookups. *)
+           The diverted id is remembered in [home] for later lookups, so
+           a known id is always on [shard_of]: a duplicate is refused
+           there, whatever shard its deps point at. *)
         let natural = route_shard t.route t.nshards id in
-        let k = match deps with [] -> natural | p :: _ -> shard_of t p in
+        let own = shard_of t id in
+        let k = match deps with [] -> own | p :: _ -> shard_of t p in
         (* Lazy clock sync: an empty shard skipped recent ticks; bring
            its clock to store time so [submitted_at] gets the same bits
-           as the always-advance store. *)
-        if F.compare (En.now t.engines.(k)) t.now < 0 then begin
-          (match En.apply t.engines.(k) (En.Advance_to t.now) with
-          | Ok _ -> ()
-          | Error e ->
-            invalid_arg ("Shard.apply: clock catch-up failed: " ^ En.error_to_string e));
-          semit t k (line (J.Input (En.Advance_to t.now)))
-        end;
-        match En.apply t.engines.(k) e with
-        | Error _ as err -> err
-        | Ok _ ->
-          if k <> natural then Hashtbl.replace t.home id k;
-          (match En.waiting_on t.engines.(k) id with
-          | Some _ ->
-            (* dormant: parked out of the allocator summaries until the
-               engine activates it *)
-            Hashtbl.replace t.dormant_meta.(k) id (weight, cap)
-          | None ->
-            Hashtbl.replace t.tasks.(k) id (weight, cap);
-            t.w_sum.(k) <- F.add t.w_sum.(k) weight;
-            t.d_sum.(k) <- F.add t.d_sum.(k) cap);
-          t.alloc_dirty <- true;
-          emit_both t k (J.Input e);
-          t.events <- t.events + 1;
-          Ok [])
+           as the always-advance store. Only a submit the engine accepts
+           may move the clock, so a lagging shard checks it first: a
+           refusal leaves every shard and every journal untouched. *)
+        let lagging = F.compare (En.now t.engines.(k)) t.now < 0 in
+        let refusal =
+          if k <> own && known t own id then Some (En.Duplicate_task id)
+          else
+            match split_parents t id k deps with
+            | None when lagging ->
+              Result.fold ~ok:(fun _ -> None) ~error:Option.some
+                (En.check_submit t.engines.(k) ~speedup ~deps ~id ~volume ~weight ~cap)
+            | r -> r
+        in
+        match refusal with
+        | Some e -> Error e
+        | None ->
+          if lagging then begin
+            (match En.apply t.engines.(k) (En.Advance_to t.now) with
+            | Ok _ -> ()
+            | Error e ->
+              invalid_arg ("Shard.apply: clock catch-up failed: " ^ En.error_to_string e));
+            semit t k (line (J.Input (En.Advance_to t.now)))
+          end;
+          match En.apply t.engines.(k) e with
+          | Error _ as err -> err
+          | Ok _ ->
+            if k <> natural then Hashtbl.replace t.home id k;
+            (match En.waiting_on t.engines.(k) id with
+            | Some _ ->
+              (* dormant: parked out of the allocator summaries until the
+                 engine activates it *)
+              Hashtbl.replace t.dormant_meta.(k) id (weight, cap)
+            | None ->
+              Hashtbl.replace t.tasks.(k) id (weight, cap);
+              t.w_sum.(k) <- F.add t.w_sum.(k) weight;
+              t.d_sum.(k) <- F.add t.d_sum.(k) cap);
+            t.alloc_dirty <- true;
+            emit_both t k (J.Input e);
+            t.events <- t.events + 1;
+            Ok [])
       | En.Cancel id -> (
         let k = shard_of t id in
         match En.cancel t.engines.(k) id with

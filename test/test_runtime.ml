@@ -442,8 +442,7 @@ let test_non_finite_advance () =
   submit 0;
   ignore (HF.ok (St.apply st (St.En.Advance 1e308)));
   submit 1;
-  check_refused ~what:"sharded store" (St.apply st) (fun () -> St.dump st ^ St.metrics_json st);
-  St.shutdown st
+  check_refused ~what:"sharded store" (St.apply st) (fun () -> St.dump st ^ St.metrics_json st)
 
 let test_replay_rejects_corruption () =
   let spec = Support.uspec ~procs:2 [ ((1, 1), 1); ((2, 1), 2) ] in

@@ -1,9 +1,8 @@
 (* Tests for the sharded store (lib/runtime/shard.ml) and its support
    modules: the replay oracles of Mwct_check.Shard_check on random
    tenant streams (both fields, both routings), the single-shard
-   byte-identity shim, engine set_capacity/next_eta/Advance_to, the Par
-   fork-join shim, the Ingest chunked reader, and the metrics latency
-   histogram. *)
+   byte-identity shim, engine set_capacity/next_eta/Advance_to, the
+   Ingest chunked reader, and the metrics latency histogram. *)
 
 module Rng = Mwct_util.Rng
 
@@ -82,6 +81,37 @@ let test_dag_flat_agreement_float () =
   run_oracle "dag flat-agreement float" (fun draw ->
       CF.check_flat_agreement ~deps:true draw ~nshards:4 ~route:CF.St.Mod ~len:60)
 
+(* Refused events (zero volumes, duplicates, unknown or split parents,
+   unknown cancels) change no journal byte and no dump, also when they
+   are routed to an empty shard whose clock lags. *)
+let test_refusals_float ~nshards route () =
+  List.iter
+    (fun deps ->
+      run_oracle "refusals float" (fun draw ->
+          CF.check_refusals_leave_no_trace ~deps draw ~nshards ~route ~len:60))
+    [ false; true ]
+
+let test_refusals_exact route () =
+  List.iter
+    (fun deps ->
+      run_oracle "refusals exact" (fun draw ->
+          CX.check_refusals_leave_no_trace ~deps draw ~nshards:3 ~route ~len:40))
+    [ false; true ]
+
+(* The smallest case: task 1's submit is refused (negative volume) on
+   shard 1, which has been empty since time 0. *)
+let test_refused_submit_on_lagging_shard () =
+  let submit id volume =
+    CF.En.Submit { id; volume; weight = 1.; cap = 1.; speedup = None; deps = [] }
+  in
+  let clean = [ submit 0 4.; CF.En.Advance 1.; CF.En.Advance 1.; submit 3 1.; CF.En.Drain ] in
+  match
+    CF.check_no_trace ~nshards:2 ~route:CF.St.Mod ~clean ~refusals:(fun _ i ->
+        if i = 2 then [ submit 1 (-1.) ] else [])
+  with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg
+
 (* ---------- engine: set_capacity / next_eta / Advance_to ---------- *)
 
 module En = Mwct_runtime.Engine.Float
@@ -130,27 +160,6 @@ let test_advance_to () =
   (* landing exactly on the target, not accumulating *)
   ignore (ok (En.apply a (En.Advance_to 1.5)));
   Alcotest.(check (float 0.)) "idempotent target" 1.5 (En.now a)
-
-(* ---------- Par ---------- *)
-
-module Par = Mwct_runtime.Par
-
-let test_par_run () =
-  let pool = Par.create 8 in
-  let hits = Array.make 8 0 in
-  Par.run pool (fun i -> hits.(i) <- hits.(i) + 1);
-  Alcotest.(check (list int)) "each index once" (List.init 8 (fun _ -> 1)) (Array.to_list hits);
-  (* exceptions surface after the barrier and the pool survives *)
-  (match Par.run pool (fun i -> if i = 3 then failwith "boom") with
-  | exception Failure _ -> ()
-  | () -> Alcotest.fail "exception swallowed");
-  Par.run pool (fun i -> hits.(i) <- hits.(i) + 1);
-  Alcotest.(check int) "pool usable after exception" 2 hits.(0);
-  Par.shutdown pool;
-  Par.shutdown pool;
-  (* idempotent *)
-  Par.run pool (fun i -> hits.(i) <- hits.(i) + 1);
-  Alcotest.(check int) "sequential fallback after shutdown" 3 hits.(7)
 
 (* ---------- Ingest ---------- *)
 
@@ -254,8 +263,40 @@ let test_starved_shard () =
   | Some c ->
     Alcotest.(check (float 0.)) "submitted_at respects store clock" 1.0 c.St.En.submitted_at
   | None -> Alcotest.fail "task 1 not closed");
-  Alcotest.(check int) "all completed" 2 (St.completed_count st);
-  St.shutdown st
+  Alcotest.(check int) "all completed" 2 (St.completed_count st)
+
+(* Task 3 routes to its first parent's shard (task 1, shard 1 under
+   mod-2 routing), which cannot see task 2 on shard 0: the refusal
+   names both parents and both shards. An id no shard knows keeps the
+   engine's message, and a known id stays a duplicate wherever its deps
+   point. *)
+let test_split_parents () =
+  let st =
+    St.create ~nshards:2 ~route:St.Mod ~capacity:4. ~allocator:wdeq ~policy:wdeq
+      ~kinetic:(fun () -> P.engine_kinetic P.Wdeq)
+      ~policy_label:"wdeq" ()
+  in
+  let submit ?(deps = []) id =
+    St.apply st (St.En.Submit { id; volume = 1.; weight = 1.; cap = 1.; speedup = None; deps })
+  in
+  let refused what expected r =
+    match r with
+    | Error e -> Alcotest.(check string) what expected (St.En.error_to_string e)
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+  in
+  ignore (submit 1);
+  ignore (submit 2);
+  let before = St.dump st in
+  refused "split parents"
+    "task 3: dependencies 1 and 2 are on shards 1 and 0; a task's parents must share a shard"
+    (submit ~deps:[ 1; 2 ] 3);
+  refused "unknown parent" "task 3: unknown dependency 99" (submit ~deps:[ 1; 99 ] 3);
+  refused "duplicate routed by its deps" "duplicate task 2" (submit ~deps:[ 1 ] 2);
+  Alcotest.(check string) "state untouched" before (St.dump st);
+  (match submit ~deps:[ 1 ] 5 with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (St.En.error_to_string e));
+  refused "duplicate of a diverted id" "duplicate task 5" (submit 5)
 
 let () =
   Alcotest.run "shard"
@@ -280,13 +321,25 @@ let () =
           Alcotest.test_case "merged determinism (float)" `Quick test_dag_merged_determinism_float;
           Alcotest.test_case "flat completion-set agreement (float)" `Quick test_dag_flat_agreement_float;
         ] );
+      ( "refusals",
+        [
+          Alcotest.test_case "no trace (float, mod)" `Quick (test_refusals_float ~nshards:3 CF.St.Mod);
+          Alcotest.test_case "no trace (float, hash)" `Quick (test_refusals_float ~nshards:4 CF.St.Hash);
+          Alcotest.test_case "no trace (exact, mod)" `Quick (test_refusals_exact CX.St.Mod);
+          Alcotest.test_case "no trace (exact, hash)" `Quick (test_refusals_exact CX.St.Hash);
+          Alcotest.test_case "refused submit on a lagging shard" `Quick
+            test_refused_submit_on_lagging_shard;
+        ] );
       ( "engine",
         [
           Alcotest.test_case "set_capacity" `Quick test_set_capacity;
           Alcotest.test_case "advance_to" `Quick test_advance_to;
         ] );
-      ( "par", [ Alcotest.test_case "fork-join pool" `Quick test_par_run ] );
       ( "ingest", [ Alcotest.test_case "chunked line reader" `Quick test_ingest_lines ] );
       ( "metrics", [ Alcotest.test_case "latency histogram" `Quick test_latency_histogram ] );
-      ( "store", [ Alcotest.test_case "idle shard rides ticks" `Quick test_starved_shard ] );
+      ( "store",
+        [
+          Alcotest.test_case "idle shard rides ticks" `Quick test_starved_shard;
+          Alcotest.test_case "parents on two shards" `Quick test_split_parents;
+        ] );
     ]
