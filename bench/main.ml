@@ -393,15 +393,12 @@ module PF = Mwct_ncv.Simulator.Float.P
    churning stream that holds the alive set at [alive_target]: each
    round refills the alive set, cancels the oldest task every few
    rounds, and advances virtual time far enough that a batch of tasks
-   completes inside the window. Segment recording is off (the realistic
-   long-lived-server configuration); the warm-up fill and initial
-   reshare happen before the clock starts. *)
+   completes inside the window. The warm-up fill and initial reshare
+   happen before the clock starts. *)
 let engine_throughput ~rounds ~alive_target =
   let policy = PF.engine_policy PF.Wdeq in
   let eng =
-    EnF.create ~record_segments:false
-      ?kinetic:(PF.engine_kinetic PF.Wdeq)
-      ~capacity:64.0 ~policy ()
+    EnF.create ?kinetic:(PF.engine_kinetic PF.Wdeq) ~capacity:64.0 ~policy ()
   in
   let rng = Rng.create 20120515 in
   let next_id = ref 0 in
@@ -511,15 +508,13 @@ let simulate_5000_time () =
   (!best_wall, !best_cpu)
 
 (* Minor words allocated per steady-state [Advance] on the float engine
-   (kinetic WDEQ, no segment recording, no completions inside the
-   window), measured against an identically-shaped empty window so the
-   boxes allocated by [Gc.minor_words] itself cancel out. The
+   (kinetic WDEQ, no completions inside the window), measured against
+   an identically-shaped empty window so the boxes allocated by
+   [Gc.minor_words] itself cancel out. The
    struct-of-arrays hot path makes this exactly zero. *)
 let advance_minor_words () =
   let eng =
-    EnF.create ~record_segments:false
-      ?kinetic:(PF.engine_kinetic PF.Wdeq)
-      ~capacity:64.0
+    EnF.create ?kinetic:(PF.engine_kinetic PF.Wdeq) ~capacity:64.0
       ~policy:(PF.engine_policy PF.Wdeq) ()
   in
   for i = 0 to 49 do
@@ -610,7 +605,7 @@ module Ingest = Mwct_runtime.Ingest
    row is measured with it off. *)
 let sharded_throughput ?(latency = false) ~rounds ~alive_target ~nshards () =
   let st =
-    StF.create ~record_segments:false ~nshards ~route:StF.Mod ~capacity:64.0
+    StF.create ~nshards ~route:StF.Mod ~capacity:64.0
       ~allocator:(PF.engine_policy PF.Wdeq)
       ~policy:(PF.engine_policy PF.Wdeq)
       ~kinetic:(fun () -> PF.engine_kinetic PF.Wdeq)
@@ -836,9 +831,7 @@ let run_speedup_bench ~quick =
    the same tasks with the edges erased. *)
 let dag_serve_throughput ~rounds ~wave =
   let eng =
-    EnF.create ~record_segments:false
-      ?kinetic:(PF.engine_kinetic PF.Wdeq)
-      ~capacity:64.0
+    EnF.create ?kinetic:(PF.engine_kinetic PF.Wdeq) ~capacity:64.0
       ~policy:(PF.engine_policy PF.Wdeq) ()
   in
   let rng = Rng.create 20120515 in
@@ -971,9 +964,7 @@ module LF = Mwct_runtime.Loadgen.Float
 let run_whatif_bench ~quick =
   let alive = if quick then 250 else 1000 in
   let eng =
-    EnF.create ~record_segments:false
-      ?kinetic:(PF.engine_kinetic PF.Wdeq)
-      ~capacity:64.0
+    EnF.create ?kinetic:(PF.engine_kinetic PF.Wdeq) ~capacity:64.0
       ~policy:(PF.engine_policy PF.Wdeq) ()
   in
   for i = 0 to alive - 1 do

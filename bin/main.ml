@@ -325,6 +325,13 @@ let simulate_cmd =
   let run file policy releases =
     let spec = load_spec file in
     let inst = E.Instance.of_spec spec in
+    if E.Instance.has_deps inst then begin
+      Printf.eprintf
+        "error: %s: simulate runs independent tasks, and this instance has precedence edges \
+         (solve --algo wdeq-dag and serve model them)\n"
+        file;
+      exit exit_bad_input
+    end;
     let n = Array.length inst.E.Types.tasks in
     let releases =
       match releases with
@@ -419,8 +426,8 @@ struct
     | Ok (Some p) -> Ok p
     | Ok None -> Error (Printf.sprintf "unknown policy %S; known: %s" name policy_names)
 
-  let run ~policy_name ~procs_str ~input ~record_path ~no_segments ~nshards ~tenant_key
-      ~shard_cap_str ~latency : int =
+  let run ~policy_name ~procs_str ~input ~record_path ~nshards ~tenant_key ~shard_cap_str ~latency :
+      int =
     let fail_input msg =
       Printf.eprintf "error: %s\n" msg;
       exit exit_bad_input
@@ -463,10 +470,6 @@ struct
     let shard_ocs = ref [||] in
     let store = ref None in
     let init_store ~capacity ~policy ~policy_label =
-      (* [--no-segments] drops per-task rate histories (unbounded on
-         long-lived processes) and, on the float engine, enables the
-         allocation-free advance kernel. Decision and metrics output is
-         unchanged — histories only surface in closed-task records. *)
       let line_sink oc line =
         output_string oc line;
         output_char oc '\n';
@@ -485,7 +488,7 @@ struct
         | _ -> None
       in
       let s =
-        St.create ~record_segments:(not no_segments) ?shard_cap
+        St.create ?shard_cap
           ?merged_sink:(Option.map line_sink record_oc)
           ~decision_sink:print_endline ?shard_sink ~nshards ~route ~capacity
           ~allocator:(P.engine_policy P.Wdeq) ~policy:(P.engine_policy policy)
@@ -659,10 +662,7 @@ let serve_cmd =
   let no_segments =
     Arg.(value & flag
          & info [ "no-segments" ]
-             ~doc:
-               "Do not record per-task rate histories (unbounded memory on long-lived runs); on \
-                the float engine this also enables the allocation-free advance fast path. \
-                Decisions, metrics and journals are byte-identical either way.")
+             ~doc:"Accepted and ignored: the engine records no per-task rate histories.")
   in
   let shards =
     Arg.(value & opt int 1
@@ -690,14 +690,15 @@ let serve_cmd =
                "Record per-event service latency into the metrics histogram (lat_p50_us..p999). \
                 Only the histogram is affected; decision output stays deterministic.")
   in
-  let run policy procs exact journal record no_segments shards tenant_key shard_cap latency =
+  let run policy procs exact journal record (_no_segments : bool) shards tenant_key shard_cap
+      latency =
     exit
       (if exact then
          Serve_exact.run ~policy_name:policy ~procs_str:procs ~input:journal ~record_path:record
-           ~no_segments ~nshards:shards ~tenant_key ~shard_cap_str:shard_cap ~latency
+           ~nshards:shards ~tenant_key ~shard_cap_str:shard_cap ~latency
        else
          Serve_float.run ~policy_name:policy ~procs_str:procs ~input:journal ~record_path:record
-           ~no_segments ~nshards:shards ~tenant_key ~shard_cap_str:shard_cap ~latency)
+           ~nshards:shards ~tenant_key ~shard_cap_str:shard_cap ~latency)
   in
   Cmd.v
     (Cmd.info "serve"

@@ -116,11 +116,11 @@ module Make (F : Mwct_field.Field.S) = struct
 
   (* A fresh store whose sinks keep every journal line, and the
      function that returns what they kept so far. *)
-  let capturing_store ~record_segments ~nshards ~route ~capacity : St.t * (unit -> capture) =
+  let capturing_store ~nshards ~route ~capacity : St.t * (unit -> capture) =
     let merged = ref [] in
     let shards = Array.make nshards [] in
     let store =
-      St.create ~record_segments ~nshards ~route ~capacity
+      St.create ~nshards ~route ~capacity
         ~merged_sink:(fun l -> merged := l :: !merged)
         ~shard_sink:(fun k l -> shards.(k) <- l :: shards.(k))
         ~allocator:(policy ()) ~policy:(policy ()) ~kinetic ~policy_label:"wdeq" ()
@@ -130,9 +130,8 @@ module Make (F : Mwct_field.Field.S) = struct
   (** Run a stream through a sharded store, capturing every journal
       line. Engine errors are reported — generated streams must apply
       cleanly. *)
-  let run_store ?(record_segments = true) ~nshards ~route ~capacity (stream : En.event list) :
-      (capture, string) result =
-    let store, captured = capturing_store ~record_segments ~nshards ~route ~capacity in
+  let run_store ~nshards ~route ~capacity (stream : En.event list) : (capture, string) result =
+    let store, captured = capturing_store ~nshards ~route ~capacity in
     let err = ref None in
     List.iteri
       (fun i ev ->
@@ -147,9 +146,8 @@ module Make (F : Mwct_field.Field.S) = struct
       single-shard store (or the pre-shard serve loop) would: init
       first, an input line per applied event, an out line per decision,
       one shared sequence counter. *)
-  let run_plain ?(record_segments = true) ~capacity (stream : En.event list) :
-      (En.t * string list, string) result =
-    let eng = En.create ~record_segments ?kinetic:(kinetic ()) ~capacity ~policy:(policy ()) () in
+  let run_plain ~capacity (stream : En.event list) : (En.t * string list, string) result =
+    let eng = En.create ?kinetic:(kinetic ()) ~capacity ~policy:(policy ()) () in
     let lines = ref [] in
     let seq = ref 0 in
     let emit e =
@@ -272,7 +270,7 @@ module Make (F : Mwct_field.Field.S) = struct
       ~(refusals : St.t -> int -> En.event list) : (unit, string) result =
     let capacity = F.of_int 4 in
     let* c = run_store ~nshards ~route ~capacity clean in
-    let store, captured = capturing_store ~record_segments:true ~nshards ~route ~capacity in
+    let store, captured = capturing_store ~nshards ~route ~capacity in
     let refuse i ev =
       match St.apply store ev with
       | Error _ -> Ok ()

@@ -4,16 +4,20 @@
     present at time 0): tasks arrive at release dates; whenever a task
     arrives or completes, the policy's shares are recomputed from the
     alive set. Volumes are used only to detect completions — the policy
-    never sees them, preserving non-clairvoyance.
+    never sees them, preserving non-clairvoyance. Tasks are independent:
+    an instance with precedence edges is refused (frontier WDEQ models
+    those, through [solve --algo wdeq-dag] and [serve]).
 
-    Since the online runtime landed, [run] is a thin wrapper over the
-    incremental {!Mwct_runtime.Engine}: releases are fed as
-    [Submit]/advance events and the trace is read back from the
-    engine's closed-task records. The engine reproduces this module's
-    historical event-loop arithmetic exactly (absolute completion
-    estimates, first-min selection, [leq_approx] completion detection,
-    views in increasing id order), so the traces are bit-identical to
-    the pre-runtime batch loop — one scheduling loop, not two.
+    [run] drives the incremental {!Mwct_runtime.Engine} from event to
+    event: to the next completion estimate, or to the next release if
+    that comes first. Before each step it reads the running shares
+    ({!Mwct_runtime.Engine.Make.iter_running}) and files them as the
+    step's rate segments; the engine itself keeps no history. The
+    engine reproduces this module's historical event-loop arithmetic
+    exactly (absolute completion estimates, first-min selection,
+    [leq_approx] completion detection, views in increasing id order),
+    so the traces are bit-identical to the pre-runtime batch loop — one
+    scheduling loop, not two.
 
     The output is an event trace plus per-task records; helpers compute
     the paper's objective and convert the trace to segment form for
@@ -42,23 +46,35 @@ module Make (F : Mwct_field.Field.S) = struct
   }
 
   (** Simulate [policy] on [inst] with [releases] (defaults to all
-      zeros). Raises [Invalid_argument] if a task can never progress
-      (impossible for the provided policies: every alive task has a
-      positive weight and cap... except [Priority_weight], which can
-      starve tasks while heavier ones run — starvation resolves when
-      the heavy tasks finish, so progress is still guaranteed). *)
+      zeros). Raises [Invalid_argument] on an instance with precedence
+      edges, or if a task can never progress (impossible for the
+      provided policies: every alive task has a positive weight and
+      cap... except [Priority_weight], which can starve tasks while
+      heavier ones run — starvation resolves when the heavy tasks
+      finish, so progress is still guaranteed). *)
   let run ?releases (inst : T.instance) (policy : P.t) : trace =
     let n = I.num_tasks inst in
     let releases = match releases with Some r -> r | None -> Array.make n F.zero in
     if Array.length releases <> n then invalid_arg "Simulator.run: releases length mismatch";
+    if I.has_deps inst then
+      invalid_arg "Simulator.run: precedence edges are not modelled (independent tasks only)";
     let eng =
       En.create ?kinetic:(P.engine_kinetic policy) ~capacity:inst.T.procs
         ~policy:(P.engine_policy policy) ()
     in
+    let fail msg = invalid_arg ("Simulator.run: " ^ msg) in
     let events = ref [] in
-    let fail err = invalid_arg ("Simulator.run: " ^ En.error_to_string err) in
-    let push_completions notes =
-      List.iter (fun (nt : En.notification) -> events := (nt.En.at, Completion nt.En.id) :: !events) notes
+    let completion = Array.make n F.zero in
+    (* Rate histories, reverse chronological. Adjacent segments with the
+       same share coalesce, so a task resharing to an identical rate
+       keeps one segment — the piecewise-constant function is
+       unchanged, only its representation is minimal. *)
+    let segments = Array.make n [] in
+    let push_segment i t0 t1 s =
+      match segments.(i) with
+      | (u0, u1, s') :: rest when F.equal u1 t0 && F.equal s' s ->
+        segments.(i) <- (u0, t1, s) :: rest
+      | l -> segments.(i) <- (t0, t1, s) :: l
     in
     (* Pending arrivals sorted by release (stable, so ties keep id
        order — as the historical batch loop did). *)
@@ -81,7 +97,7 @@ module Make (F : Mwct_field.Field.S) = struct
                ~cap:(I.effective_delta inst i) ()
            with
           | Ok () -> ()
-          | Error e -> fail e);
+          | Error e -> fail (En.error_to_string e));
           events := (releases.(i), Arrival i) :: !events;
           go ()
         | _ -> ()
@@ -89,27 +105,42 @@ module Make (F : Mwct_field.Field.S) = struct
       go ()
     in
     admit_due ();
-    (* Advance arrival to arrival (the engine handles the completions
-       in between), then drain the tail. *)
-    let rec loop () =
-      if En.completed_count eng < n then begin
-        match !pending with
-        | [] -> ( match En.drain eng with Ok notes -> push_completions notes | Error e -> fail e)
-        | i :: _ ->
-          (match En.advance_to eng releases.(i) with
-          | Ok notes -> push_completions notes
-          | Error e -> fail e);
-          admit_due ();
-          loop ()
+    (* One step per iteration. The target is the first completion
+       estimate or release, so [advance_to] moves time once and lands
+       exactly on it (any further rounds inside are zero-length): the
+       shares read just before the call are the rates over the whole
+       interval. *)
+    let stall = ref 0 in
+    while En.completed_count eng < n do
+      let eta = En.next_eta eng in
+      let target, at_release =
+        match (eta, !pending) with
+        | Some e, i :: _ when F.compare releases.(i) e < 0 -> (releases.(i), true)
+        | Some e, _ -> (e, false)
+        | None, i :: _ -> (releases.(i), true)
+        | None, [] -> fail "deadlock: alive tasks but no positive share"
+      in
+      let t0 = En.now eng in
+      if F.compare t0 target < 0 then En.iter_running eng (fun i s -> push_segment i t0 target s);
+      let notes =
+        match En.advance_to eng target with Ok l -> l | Error e -> fail (En.error_to_string e)
+      in
+      List.iter
+        (fun (nt : En.notification) ->
+          completion.(nt.En.id) <- nt.En.at;
+          events := (nt.En.at, Completion nt.En.id) :: !events)
+        notes;
+      if notes = [] && not at_release then begin
+        incr stall;
+        if !stall > En.no_progress_budget then
+          fail "no progress: completion estimate does not converge"
       end
-    in
-    loop ();
+      else stall := 0;
+      admit_due ()
+    done;
     let records =
       Array.init n (fun i ->
-          match En.find_closed eng i with
-          | Some c ->
-            { release = releases.(i); completion = c.En.closed_at; segments = c.En.segments }
-          | None -> invalid_arg "Simulator.run: task never completed")
+          { release = releases.(i); completion = completion.(i); segments = List.rev segments.(i) })
     in
     { instance = inst; policy; events = List.rev !events; records }
 

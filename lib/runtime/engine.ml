@@ -14,8 +14,10 @@
     (absolute completion estimates [eta = now + remaining/share],
     first-min selection, [remaining -= share·dt], [leq_approx]
     completion detection), which is what lets
-    {!Mwct_ncv.Simulator.run} be a thin wrapper over this engine with
-    bit-identical output. All state transitions are deterministic
+    {!Mwct_ncv.Simulator.run} step this engine from event to event with
+    bit-identical output. The engine keeps no rate histories: the
+    Simulator, their one reader, records them itself through
+    {!iter_running}. All state transitions are deterministic
     functions of the event sequence — the replay invariant
     {!Journal.replay} relies on (no wall clock, no hash-order
     iteration: views are built in increasing task-id order from a
@@ -26,10 +28,11 @@
     The alive set is the [by_id] slot array (ascending external id, the
     view-building order) and the share cache is the [order] slot array
     (policy output order, the advance/sweep order). On the float field
-    the advance loop dispatches to a monomorphic kernel over the flat
-    float columns — zero minor-heap allocation per steady-state
-    [Advance] — selected through {!Mwct_field.Field.witness}, and so
-    does the commit sweep that installs a reshare's shares. *)
+    every engine whose open tasks all follow the linear law dispatches
+    its advance loop to a monomorphic kernel over the flat float
+    columns — zero minor-heap allocation per steady-state [Advance] —
+    selected through {!Mwct_field.Field.witness}, and so does the
+    commit sweep that installs a reshare's shares. *)
 
 module Make (F : Mwct_field.Field.S) = struct
   module M = Metrics.Make (F)
@@ -106,16 +109,13 @@ module Make (F : Mwct_field.Field.S) = struct
   (** Why a task left the alive set. *)
   type outcome = Completed | Cancelled
 
-  (** Closed-task record: everything the engine knew about the task,
-      with its piecewise-constant rate history (chronological). *)
+  (** Closed-task record: what later events and reports read about a
+      task that left the engine. *)
   type closed = {
-    volume : F.t;
     weight : F.t;
-    cap : F.t;
     submitted_at : F.t;
     closed_at : F.t;
     outcome : outcome;
-    segments : (F.t * F.t * F.t) list;  (** [(from, to, share)], chronological *)
     share_changes : int;  (** times this task's allocation changed while alive *)
   }
 
@@ -134,10 +134,8 @@ module Make (F : Mwct_field.Field.S) = struct
     mutable capacity : F.t;  (* mutable: the sharded store re-budgets it each tick *)
     policy : policy;
     kinetic : kinetic option;
-    record_segments : bool;
     now_cell : F.t array;  (* 1 element: current virtual time *)
     (* slot-indexed columns (parallel arrays, grown together) *)
-    mutable c_volume : F.t array;
     mutable c_weight : F.t array;
     mutable c_cap : F.t array;
     mutable c_submitted : F.t array;
@@ -145,7 +143,6 @@ module Make (F : Mwct_field.Field.S) = struct
     mutable c_share : F.t array;  (* persists across reshares, like the old ts_share *)
     mutable c_new_share : F.t array;  (* reshare staging, compared against c_share *)
     mutable c_changes : int array;
-    mutable c_segments : (F.t * F.t * F.t) list array;  (* reverse chronological *)
     mutable c_curve : (F.t array * F.t array) option array;  (* speedup breakpoints; None = linear *)
     mutable ncurved : int;  (* open tasks with a curve; 0 keeps the float fast path *)
     (* precedence lifecycle: [c_waiting] is the number of not-yet-
@@ -180,24 +177,19 @@ module Make (F : Mwct_field.Field.S) = struct
 
   let initial_slots = 64
 
-  (** [create ~capacity ~policy ()]. [record_segments] (default [true])
-      keeps per-task rate histories; switch it off for long-lived
-      high-throughput processes where the history is unbounded (on the
-      float field this also enables the allocation-free advance
-      kernel). [kinetic], when given, replaces the list-policy call on
-      each reshare with the incremental rule — it must be bit-identical
-      to [policy], which remains the replay/documentation source of
-      truth. *)
-  let create ?(record_segments = true) ?kinetic ~capacity ~policy () =
+  (** [create ~capacity ~policy ()]. [kinetic], when given, replaces
+      the list-policy call on each reshare with the incremental rule —
+      it must be bit-identical to [policy], which remains the
+      replay/documentation source of truth. [record_segments] is
+      accepted and ignored: the engine keeps no rate histories. *)
+  let create ?record_segments:(_ : bool option) ?kinetic ~capacity ~policy () =
     if F.sign capacity <= 0 then invalid_arg "Engine.create: capacity must be positive";
     let n = initial_slots in
     {
       capacity;
       policy;
       kinetic;
-      record_segments;
       now_cell = Array.make 1 F.zero;
-      c_volume = Array.make n F.zero;
       c_weight = Array.make n F.zero;
       c_cap = Array.make n F.zero;
       c_submitted = Array.make n F.zero;
@@ -205,7 +197,6 @@ module Make (F : Mwct_field.Field.S) = struct
       c_share = Array.make n F.zero;
       c_new_share = Array.make n F.zero;
       c_changes = Array.make n 0;
-      c_segments = Array.make n [];
       c_curve = Array.make n None;
       ncurved = 0;
       c_waiting = Array.make n 0;
@@ -233,10 +224,9 @@ module Make (F : Mwct_field.Field.S) = struct
   (* ---------- store plumbing ---------- *)
 
   let grow_columns t =
-    let old = Array.length t.c_volume in
+    let old = Array.length t.c_weight in
     let n = 2 * old in
     let g z a = let b = Array.make n z in Array.blit a 0 b 0 old; b in
-    t.c_volume <- g F.zero t.c_volume;
     t.c_weight <- g F.zero t.c_weight;
     t.c_cap <- g F.zero t.c_cap;
     t.c_submitted <- g F.zero t.c_submitted;
@@ -244,7 +234,6 @@ module Make (F : Mwct_field.Field.S) = struct
     t.c_share <- g F.zero t.c_share;
     t.c_new_share <- g F.zero t.c_new_share;
     t.c_changes <- g 0 t.c_changes;
-    t.c_segments <- g [] t.c_segments;
     t.c_curve <- g None t.c_curve;
     t.c_waiting <- g 0 t.c_waiting;
     t.c_dependents <- g [] t.c_dependents;
@@ -263,7 +252,7 @@ module Make (F : Mwct_field.Field.S) = struct
       t.free.(t.nfree)
     end
     else begin
-      if t.used = Array.length t.c_volume then grow_columns t;
+      if t.used = Array.length t.c_weight then grow_columns t;
       let s = t.used in
       t.used <- t.used + 1;
       s
@@ -485,10 +474,10 @@ module Make (F : Mwct_field.Field.S) = struct
     List.iter
       (fun (id, c) ->
         Buffer.add_string b
-          (Printf.sprintf "closed id=%d at=%s outcome=%s segments=%d changes=%d\n" id
+          (Printf.sprintf "closed id=%d at=%s outcome=%s changes=%d\n" id
              (F.repr c.closed_at)
              (match c.outcome with Completed -> "completed" | Cancelled -> "cancelled")
-             (List.length c.segments) c.share_changes))
+             c.share_changes))
       (closed t);
     let m = t.metrics in
     Buffer.add_string b
@@ -502,26 +491,24 @@ module Make (F : Mwct_field.Field.S) = struct
   (* ---------- snapshot / fork (DESIGN.md §16) ---------- *)
 
   (* Deep structural copy of the whole store. Every mutable array is
-     duplicated; element values (field scalars, immutable segment and
-     dependency lists, breakpoint array pairs) are shared — the engine
-     never mutates them in place, it only replaces whole cells. Both
+     duplicated; element values (field scalars, immutable dependency
+     lists, breakpoint array pairs) are shared — the engine never
+     mutates them in place, it only replaces whole cells. Both
      hashtables are copied, and the metrics record is deep-copied
-     including the latency histogram ([Metrics.copy] shares [lat] for
-     its memo; here observations on a fork must not bleed into the
-     parent). The share cache ([c_share], [order], [norder]) and the
-     [dirty] flag are carried over exactly as they stand: forcing a
-     reshare on the copy would bump [metrics.reshares] and diverge its
-     dump fingerprint from the straight-line engine's. *)
+     including the latency histogram (observations on a fork must not
+     bleed into the parent). The share cache ([c_share], [order],
+     [norder]) and the [dirty] flag are carried over exactly as they
+     stand: forcing a reshare on the copy would bump
+     [metrics.reshares] and diverge its dump fingerprint from the
+     straight-line engine's. *)
   let copy_state (t : t) ~policy ~kinetic : t =
     let m = t.metrics in
-    let metrics = { m with M.lat = Array.copy m.M.lat; snap_state = None; snap = "" } in
+    let metrics = { m with M.lat = Array.copy m.M.lat } in
     {
       capacity = t.capacity;
       policy;
       kinetic;
-      record_segments = t.record_segments;
       now_cell = Array.copy t.now_cell;
-      c_volume = Array.copy t.c_volume;
       c_weight = Array.copy t.c_weight;
       c_cap = Array.copy t.c_cap;
       c_submitted = Array.copy t.c_submitted;
@@ -529,7 +516,6 @@ module Make (F : Mwct_field.Field.S) = struct
       c_share = Array.copy t.c_share;
       c_new_share = Array.copy t.c_new_share;
       c_changes = Array.copy t.c_changes;
-      c_segments = Array.copy t.c_segments;
       c_curve = Array.copy t.c_curve;
       ncurved = t.ncurved;
       c_waiting = Array.copy t.c_waiting;
@@ -684,13 +670,10 @@ module Make (F : Mwct_field.Field.S) = struct
     let was_alive = t.c_waiting.(slot) = 0 in
     Hashtbl.replace t.closed_tbl id
       {
-        volume = t.c_volume.(slot);
         weight = w;
-        cap = t.c_cap.(slot);
         submitted_at = t.c_submitted.(slot);
         closed_at = nowv;
         outcome;
-        segments = List.rev t.c_segments.(slot);
         share_changes = t.c_changes.(slot);
       };
     if was_alive then begin
@@ -707,7 +690,6 @@ module Make (F : Mwct_field.Field.S) = struct
       t.c_curve.(slot) <- None;
       t.ncurved <- t.ncurved - 1
     | None -> ());
-    t.c_segments.(slot) <- [];
     let dependents = t.c_dependents.(slot) in
     t.c_dependents.(slot) <- [];
     t.c_deps.(slot) <- [];
@@ -763,16 +745,6 @@ module Make (F : Mwct_field.Field.S) = struct
 
   (* ---------- the time-stepping core ---------- *)
 
-  (* Rate histories coalesce adjacent segments with the same share, so
-     a task resharing to an identical rate keeps one segment — the
-     piecewise-constant function is unchanged, only its representation
-     is minimal. *)
-  let push_segment t slot t0 t1 s =
-    match t.c_segments.(slot) with
-    | (u0, u1, s') :: rest when F.equal u1 t0 && F.equal s' s ->
-      t.c_segments.(slot) <- (u0, t1, s) :: rest
-    | l -> t.c_segments.(slot) <- (t0, t1, s) :: l
-
   (* Earliest absolute completion estimate over the cached shares —
      first-min over the policy's output order, exactly like the batch
      loop (the min value is order-independent; fold order only matters
@@ -807,8 +779,21 @@ module Make (F : Mwct_field.Field.S) = struct
     recompute_if_dirty t;
     next_completion t
 
-  (* Advance every positively-shared task to absolute time [t_next],
-     recording segments; then sweep the share list for completions
+  (** [iter_running t f] brings the shares up to date (as {!next_eta}
+      does), then calls [f id share] for every task holding a positive
+      share, in step order: exactly the tasks the next advance step
+      moves, at these shares. *)
+  let iter_running t f =
+    recompute_if_dirty t;
+    for i = 0 to t.norder - 1 do
+      let slot = t.order.(i) in
+      let s = t.c_share.(slot) in
+      if F.sign s > 0 then f t.c_id.(slot) s
+    done
+
+  (* Advance every positively-shared task to absolute time [t_next]
+     (volume drains at the task's rate — the share itself under the
+     linear law), then sweep the share list for completions
      ([leq_approx], matching the batch simulator's tolerance). Returns
      the completions in share-list order. *)
   let advance_and_sweep t t_next =
@@ -818,12 +803,8 @@ module Make (F : Mwct_field.Field.S) = struct
       for i = 0 to t.norder - 1 do
         let slot = t.order.(i) in
         let s = t.c_share.(slot) in
-        if F.sign s > 0 then begin
-          (* segments record allocations (shares); volume drains at the
-             task's rate — identical under the linear law *)
-          if t.record_segments then push_segment t slot nowv t_next s;
+        if F.sign s > 0 then
           t.c_remaining.(slot) <- F.sub_mul t.c_remaining.(slot) (slot_rate t slot s) dt
-        end
       done;
     t.now_cell.(0) <- t_next;
     let ndone = ref 0 in
@@ -914,10 +895,10 @@ module Make (F : Mwct_field.Field.S) = struct
   (* ---------- float fast path ---------- *)
 
   (* Monomorphic advance loop for [F.t = float], recovered through the
-     field witness. Selected only with [record_segments = false] (the
-     generic loop keeps the history bookkeeping): one step is then two
-     branch-light sweeps over flat float columns with all intermediates
-     unboxed — registers live in [fscratch]/[iscratch] cells rather
+     field witness. Selected whenever every open task follows the
+     linear law (a curve needs the generic rate evaluation): one step
+     is two branch-light sweeps over flat float columns with all
+     intermediates unboxed — registers live in [fscratch]/[iscratch] cells rather
      than local refs so no boxing survives even without flambda — and a
      steady-state [Advance] (no completions, clean cache) allocates
      nothing on the minor heap.
@@ -1065,7 +1046,7 @@ module Make (F : Mwct_field.Field.S) = struct
       reproduces the batch simulator's arithmetic bit for bit). *)
   let advance_to t target : (notification list, error) result =
     match float_ops with
-    | Some ops when (not t.record_segments) && t.ncurved = 0 -> ops.f_advance_abs t target
+    | Some ops when t.ncurved = 0 -> ops.f_advance_abs t target
     | _ -> advance_to_generic t target
 
   (** Run the alive set to completion. Fails with [Invalid "deadlock"]
@@ -1073,7 +1054,7 @@ module Make (F : Mwct_field.Field.S) = struct
       that starves everything). *)
   let drain t : (notification list, error) result =
     match float_ops with
-    | Some ops when (not t.record_segments) && t.ncurved = 0 -> ops.f_drain t
+    | Some ops when t.ncurved = 0 -> ops.f_drain t
     | _ -> drain_generic t
 
   (* ---------- input events ---------- *)
@@ -1121,7 +1102,6 @@ module Make (F : Mwct_field.Field.S) = struct
     | Error e -> Error e
     | Ok unmet -> begin
       let slot = alloc_slot t in
-      t.c_volume.(slot) <- volume;
       t.c_weight.(slot) <- weight;
       t.c_cap.(slot) <- cap;
       t.c_submitted.(slot) <- t.now_cell.(0);
@@ -1129,7 +1109,6 @@ module Make (F : Mwct_field.Field.S) = struct
       t.c_share.(slot) <- F.zero;
       t.c_new_share.(slot) <- F.zero;
       t.c_changes.(slot) <- 0;
-      t.c_segments.(slot) <- [];
       t.c_curve.(slot) <- speedup;
       (match speedup with Some _ -> t.ncurved <- t.ncurved + 1 | None -> ());
       t.c_deps.(slot) <- deps;
@@ -1184,7 +1163,7 @@ module Make (F : Mwct_field.Field.S) = struct
         if F.sign dt < 0 then Error (Invalid "advance: negative dt")
         else begin
           match float_ops with
-          | Some ops when (not t.record_segments) && t.ncurved = 0 -> ops.f_advance_rel t dt
+          | Some ops when t.ncurved = 0 -> ops.f_advance_rel t dt
           | _ -> advance_to_generic t (F.add (now t) dt)
         end
       | Advance_to target -> advance_to t target

@@ -18,19 +18,9 @@ module Make (F : Mwct_field.Field.S) = struct
     mutable weighted_completion : F.t;  (** [Σ w_i C_i] over completed tasks *)
     mutable weighted_flow : F.t;  (** [Σ w_i (C_i − submit_i)] over completed tasks *)
     (* Log-bucketed service-time histogram: bucket [i] counts
-       observations in [2^i, 2^(i+1)) nanoseconds. Observations only
-       ever accumulate, so [lat_count] alone keys memo validity. *)
+       observations in [2^i, 2^(i+1)) nanoseconds. *)
     lat : int array;
     mutable lat_count : int;
-    (* Snapshot memo, keyed on the event counter plus the remaining
-       counters (the direct engine API can mutate state between event
-       bumps): polling [to_json] on an idle engine costs a string
-       reuse, not a rebuild. [snap_state = None] means "no snapshot
-       cached". *)
-    mutable snap_state : t option;
-    mutable snap_alive : int;
-    mutable snap_now : F.t;
-    mutable snap : string;
   }
 
   let lat_buckets = 64
@@ -47,23 +37,7 @@ module Make (F : Mwct_field.Field.S) = struct
       weighted_flow = F.zero;
       lat = Array.make lat_buckets 0;
       lat_count = 0;
-      snap_state = None;
-      snap_alive = 0;
-      snap_now = F.zero;
-      snap = "";
     }
-
-  (* Copies drop the memo so snapshot chains never retain each other.
-     The histogram array is shared — memo validity compares only
-     [lat_count], which pins the (append-only) bucket contents. *)
-  let copy (m : t) = { m with snap_state = None; snap = "" }
-
-  let equal (a : t) (b : t) =
-    a.events = b.events && a.submitted = b.submitted && a.completed = b.completed
-    && a.cancelled = b.cancelled && a.reshares = b.reshares && a.alloc_changes = b.alloc_changes
-    && a.lat_count = b.lat_count
-    && F.equal a.weighted_completion b.weighted_completion
-    && F.equal a.weighted_flow b.weighted_flow
 
   (* ---------- tail-latency histogram ---------- *)
 
@@ -107,17 +81,6 @@ module Make (F : Mwct_field.Field.S) = struct
       are gauges owned by the engine; [events_per_sec] is wall-clock
       derived and only included when the caller measured it. *)
   let to_json ?events_per_sec ~alive ~now (m : t) : string =
-    (* Wall-clock gauges bypass the memo (they vary at a fixed counter
-       state); everything else in the snapshot is a pure function of
-       the counters and the [alive]/[now] gauges compared here. *)
-    let memo_valid =
-      events_per_sec = None
-      && (match m.snap_state with
-         | Some s -> equal m s && alive = m.snap_alive && F.equal now m.snap_now
-         | None -> false)
-    in
-    if memo_valid then m.snap
-    else begin
     let b = Buffer.create 320 in
     let num k x = Json_out.num b k (F.to_float x) (F.repr x) in
     Buffer.add_string b "{\"type\":\"metrics\"";
@@ -132,9 +95,7 @@ module Make (F : Mwct_field.Field.S) = struct
     num "sum_wc" m.weighted_completion;
     num "sum_wflow" m.weighted_flow;
     (* Latency fields appear only once something was observed, so runs
-       that never time events keep pre-histogram snapshot bytes. The
-       quantiles are pure functions of the (append-only) histogram,
-       hence memo-safe. *)
+       that never time events keep pre-histogram snapshot bytes. *)
     if m.lat_count > 0 then begin
       Json_out.int b "lat_events" m.lat_count;
       List.iter
@@ -143,13 +104,5 @@ module Make (F : Mwct_field.Field.S) = struct
     end;
     Option.iter (Json_out.decimal b "events_per_sec") events_per_sec;
     Buffer.add_char b '}';
-    let s = Buffer.contents b in
-    if events_per_sec = None then begin
-      m.snap_state <- Some (copy m);
-      m.snap_alive <- alive;
-      m.snap_now <- now;
-      m.snap <- s
-    end;
-    s
-    end
+    Buffer.contents b
 end

@@ -195,8 +195,9 @@ module Make (F : Mwct_field.Field.S) = struct
       single shard's budget. [merged_sink] receives every merged
       journal line; [decision_sink] only the [out] lines (same bytes
       and sequence numbers — serve points it at stdout); [shard_sink k]
-      the per-shard journal lines. *)
-  let create ?(record_segments = true) ?shard_cap ?merged_sink ?decision_sink ?shard_sink
+      the per-shard journal lines. [record_segments] is accepted and
+      ignored, like {!Engine.Make.create}'s. *)
+  let create ?record_segments:(_ : bool option) ?shard_cap ?merged_sink ?decision_sink ?shard_sink
       ~nshards ~route ~capacity ~allocator ~policy ~kinetic ~policy_label () : t =
     if nshards < 1 then invalid_arg "Shard.create: nshards must be >= 1";
     if F.sign capacity <= 0 then invalid_arg "Shard.create: capacity must be positive";
@@ -204,7 +205,7 @@ module Make (F : Mwct_field.Field.S) = struct
     if F.sign shard_cap <= 0 then invalid_arg "Shard.create: shard_cap must be positive";
     let engines =
       Array.init nshards (fun _ ->
-          En.create ~record_segments ?kinetic:(kinetic ()) ~capacity ~policy ())
+          En.create ?kinetic:(kinetic ()) ~capacity ~policy ())
     in
     let t =
       {
@@ -503,16 +504,14 @@ module Make (F : Mwct_field.Field.S) = struct
       t.events <- t.events + 1;
       Ok (List.map snd notes)
 
-  let stall_budget = 64
-
   (* Drain: repeatedly re-budget, peek every shard's next completion
      estimate ({!Engine.Make.next_eta} — the advance loop's own
      arithmetic, so the global minimum is exactly where the owning
      shard's next step lands), and advance everyone there. Zero-budget
      (starved) shards peek [None] and simply ride along; if every
      nonempty shard is starved the drain deadlocks, same as the
-     engine. The stall budget absorbs float-residue rounds where the
-     minimum shard's completion needs an extra nudge. *)
+     engine. The engine's own stall budget absorbs float-residue rounds
+     where the minimum shard's completion needs an extra nudge. *)
   let drain t : (En.notification list, En.error) result =
     let p = pend_create t.nshards in
     push_m p None (line (J.Input En.Drain));
@@ -544,7 +543,7 @@ module Make (F : Mwct_field.Field.S) = struct
           t.now <- eta;
           if notes = [] then begin
             incr stall;
-            if !stall > stall_budget then
+            if !stall > En.no_progress_budget then
               err := Some (En.Invalid "no progress: completion estimate does not converge")
           end
           else begin

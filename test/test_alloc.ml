@@ -16,13 +16,12 @@ module En = Mwct_runtime.Engine.Make (FF)
 module PF = Mwct_ncv.Policy.Make (FF)
 
 (* In steady state (no completions, no reshares pending) an [Advance]
-   on the float engine with [record_segments:false] must not allocate:
-   the sweep runs entirely on the struct-of-arrays columns. *)
+   on the float engine must not allocate: the sweep runs entirely on
+   the struct-of-arrays columns. *)
 let steady_engine () =
   let eng =
-    En.create ~record_segments:false
-      ?kinetic:(PF.engine_kinetic PF.Wdeq)
-      ~capacity:64. ~policy:(PF.engine_policy PF.Wdeq) ()
+    En.create ?kinetic:(PF.engine_kinetic PF.Wdeq) ~capacity:64.
+      ~policy:(PF.engine_policy PF.Wdeq) ()
   in
   for i = 0 to 49 do
     match En.submit eng ~id:i ~volume:1e9 ~weight:(float_of_int (1 + (i mod 7))) ~cap:2. () with
@@ -86,9 +85,7 @@ let test_forked_advance_zero_alloc () =
    the budget cannot be met by skipping the work. *)
 let check_reshare_budget ~policy ~c1 ~c2 tasks =
   let eng =
-    En.create ~record_segments:false
-      ?kinetic:(PF.engine_kinetic policy)
-      ~capacity:c1 ~policy:(PF.engine_policy policy) ()
+    En.create ?kinetic:(PF.engine_kinetic policy) ~capacity:c1 ~policy:(PF.engine_policy policy) ()
   in
   List.iteri
     (fun i (weight, cap) ->
@@ -229,9 +226,8 @@ end
    run such a churn to the end. *)
 let test_intransitive_ratios () =
   let eng =
-    En.create ~record_segments:false
-      ?kinetic:(PF.engine_kinetic PF.Wdeq)
-      ~capacity:64. ~policy:(PF.engine_policy PF.Wdeq) ()
+    En.create ?kinetic:(PF.engine_kinetic PF.Wdeq) ~capacity:64.
+      ~policy:(PF.engine_policy PF.Wdeq) ()
   in
   let rng = Rng.create 3 in
   let alive = ref [] and next = ref 0 in

@@ -9,6 +9,7 @@ module SimQ = Mwct_ncv.Simulator.Exact
 module Pol = Sim.P
 module Q = Support.Q
 module Rng = Mwct_util.Rng
+module Instances = Mwct_check.Instances
 
 let f = Alcotest.(check (float 1e-9))
 
@@ -148,6 +149,74 @@ let prop_deq_beats_equi =
       let m p = Sim.makespan (Sim.run inst p) in
       m Pol.Deq <= m Pol.Equi +. 1e-6)
 
+(* ---------- trace pin ---------- *)
+
+(* Every event, completion and segment of the Simulator's traces over
+   a fixed sweep, rendered exactly ([F.repr]) and digested: seeds 0-49
+   x every [Instances] family whose sample has no edges x the four
+   policies, with releases drawn from the same SplitMix64 stream (all
+   zero on a third of the draws), on the float field and, every fifth
+   seed, on the exact one. The digests were captured from the engine
+   that recorded rate histories itself, before the Simulator took the
+   recording over, so they pin the trace bytes, not only validity. *)
+module Pin (F : Mwct_field.Field.S) = struct
+  module S = Mwct_ncv.Simulator.Make (F)
+  module I = Mwct_core.Instance.Make (F)
+
+  let add b spec releases =
+    let inst = I.of_spec spec in
+    let releases = Array.map (fun (p, q) -> F.of_q p q) releases in
+    let r = F.repr in
+    List.iter
+      (fun p ->
+        let tr = S.run ~releases inst p in
+        Printf.bprintf b "policy %s\n" (S.P.name p);
+        List.iter
+          (fun (t, e) ->
+            match e with
+            | S.Arrival i -> Printf.bprintf b "arrival %d %s\n" i (r t)
+            | S.Completion i -> Printf.bprintf b "completion %d %s\n" i (r t))
+          tr.S.events;
+        Array.iteri
+          (fun i (rc : S.record) ->
+            Printf.bprintf b "task %d %s %s" i (r rc.S.release) (r rc.S.completion);
+            List.iter
+              (fun (u, v, s) -> Printf.bprintf b " %s:%s@%s" (r u) (r v) (r s))
+              rc.S.segments;
+            Buffer.add_char b '\n')
+          tr.S.records)
+      S.P.all
+end
+
+module PinF = Pin (Mwct_field.Field.Float_field)
+module PinQ = Pin (Mwct_rational.Rational.Rat_field)
+
+let test_trace_pin () =
+  let bf = Buffer.create (1 lsl 20) and bq = Buffer.create (1 lsl 18) in
+  let blocks = ref 0 in
+  for seed = 0 to 49 do
+    let rng = Rng.create seed in
+    let draw lo hi = Rng.int_in rng lo hi in
+    List.iter
+      (fun family ->
+        let spec = Instances.sample draw family in
+        let n = Array.length spec.Mwct_core.Spec.tasks in
+        let releases =
+          if Rng.int rng 3 = 0 then Array.make n (0, 1)
+          else Array.init n (fun _ -> (Rng.dyadic rng ~den:16, 8))
+        in
+        if not (Mwct_core.Spec.has_deps spec) then begin
+          incr blocks;
+          PinF.add bf spec releases;
+          if seed mod 5 = 0 then PinQ.add bq spec releases
+        end)
+      Instances.all_families
+  done;
+  let digest b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  Alcotest.(check int) "instances swept" 684 !blocks;
+  Alcotest.(check string) "float traces" "11f8e4af84ec3bd79a34459dd084ad79" (digest bf);
+  Alcotest.(check string) "exact traces" "11cfac115ae8cba3d8c735a5051f0707" (digest bq)
+
 let () =
   let q tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests in
   Alcotest.run "ncv"
@@ -164,6 +233,7 @@ let () =
           Alcotest.test_case "arrivals" `Quick test_arrivals;
           Alcotest.test_case "arrival reshare" `Quick test_arrival_preempts_shares;
           Alcotest.test_case "exact engine" `Quick test_exact_simulator;
+          Alcotest.test_case "trace pin" `Quick test_trace_pin;
         ] );
       ( "properties",
         q

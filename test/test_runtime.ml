@@ -15,8 +15,8 @@ module H (F : Mwct_field.Field.S) = struct
 
   let wdeq_policy = Sim.P.engine_policy Sim.P.Wdeq
 
-  let fresh ?record_segments ?kinetic (inst : E.Types.instance) =
-    En.create ?record_segments ?kinetic ~capacity:inst.E.Types.procs ~policy:wdeq_policy ()
+  let fresh ?kinetic (inst : E.Types.instance) =
+    En.create ?kinetic ~capacity:inst.E.Types.procs ~policy:wdeq_policy ()
 
   let ok = function Ok x -> x | Error e -> Alcotest.fail (En.error_to_string e)
 
@@ -44,9 +44,9 @@ module H (F : Mwct_field.Field.S) = struct
      cancels, then a drain), journaling every applied event. Rejected
      events never enter the journal. Returns the entries and the final
      state fingerprint. *)
-  let random_stream ?record_segments ?kinetic ~seed (inst : E.Types.instance) =
+  let random_stream ?kinetic ~seed (inst : E.Types.instance) =
     let rng = Rng.create seed in
-    let eng = fresh ?record_segments ?kinetic inst in
+    let eng = fresh ?kinetic inst in
     let entries = ref [ J.Init { capacity = inst.E.Types.procs; policy = "wdeq" } ] in
     let push e = entries := e :: !entries in
     let apply ev =
@@ -134,21 +134,28 @@ module H (F : Mwct_field.Field.S) = struct
       (journal_lines e1) (journal_lines e2);
     Alcotest.(check string) "kinetic dump" d1 d2
 
-  (* [record_segments:false] (on the float field: the monomorphic
-     advance kernel) against the default generic path: decisions must
-     be byte-identical; only the closed-task histories differ. *)
-  let check_nosegments_identity ~seed inst =
-    let e1, _ = random_stream ~seed inst in
-    let e2, _ =
-      random_stream ~record_segments:false ?kinetic:(Sim.P.engine_kinetic Sim.P.Wdeq) ~seed inst
+  (* The kinetic WDEQ engine over one random stream: its journal lines
+     and final dump. *)
+  let kinetic_run ~seed spec =
+    let e, d =
+      random_stream ?kinetic:(Sim.P.engine_kinetic Sim.P.Wdeq) ~seed (E.Instance.of_spec spec)
     in
-    List.iter2
-      (fun a b -> Alcotest.(check string) "no-segments journal line" a b)
-      (journal_lines e1) (journal_lines e2)
+    (journal_lines e, d)
 end
 
 module HF = H (Mwct_field.Field.Float_field)
 module HQ = H (Mwct_rational.Rational.Rat_field)
+
+(* The float field answering [Any] to the witness match: an engine
+   over it runs the generic advance, commit and kinetic bodies on float
+   arithmetic, the reference for the monomorphic float kernels. *)
+module Float_any = struct
+  include Mwct_field.Field.Float_field
+
+  let witness : t Mwct_field.Field.witness = Mwct_field.Field.Any
+end
+
+module HA = H (Float_any)
 module EF = Support.EF
 module EQ = Support.EQ
 
@@ -232,22 +239,18 @@ let prop_kinetic_identity_exact =
       HQ.check_kinetic_identity ~seed:(Hashtbl.hash spec) inst;
       true)
 
-let prop_nosegments_identity_float =
-  QCheck2.Test.make ~count:80 ~name:"no-segments fast path = generic path (float)"
+(* The monomorphic float kernels (advance, commit, kinetic reshare)
+   against the generic bodies on the same float arithmetic: journal
+   bytes and final dumps must be identical. *)
+let prop_float_kernels_identity =
+  QCheck2.Test.make ~count:80 ~name:"float kernels = generic bodies (float)"
     ~print:Support.print_spec
     (Support.gen_spec ~max_n:8 `Uniform)
     (fun spec ->
-      let inst = Support.finst spec in
-      HF.check_nosegments_identity ~seed:(Hashtbl.hash spec) inst;
-      true)
-
-let prop_nosegments_identity_exact =
-  QCheck2.Test.make ~count:30 ~name:"no-segments path = generic path (exact)"
-    ~print:Support.print_spec
-    (Support.gen_spec ~max_n:5 `Mixed)
-    (fun spec ->
-      let inst = Support.qinst spec in
-      HQ.check_nosegments_identity ~seed:(Hashtbl.hash spec) inst;
+      let seed = Hashtbl.hash spec in
+      let l1, d1 = HF.kinetic_run ~seed spec and l2, d2 = HA.kinetic_run ~seed spec in
+      List.iter2 (fun a b -> Alcotest.(check string) "kernel journal line" a b) l1 l2;
+      Alcotest.(check string) "kernel dump" d1 d2;
       true)
 
 (* ---------- churn-scale bit-identity (float) ---------- *)
@@ -265,9 +268,8 @@ module PF = HF.Sim.P
    stays a total order. *)
 let churn_events () =
   let eng =
-    HF.En.create ~record_segments:false
-      ?kinetic:(PF.engine_kinetic PF.Wdeq)
-      ~capacity:64. ~policy:(PF.engine_policy PF.Wdeq) ()
+    HF.En.create ?kinetic:(PF.engine_kinetic PF.Wdeq) ~capacity:64.
+      ~policy:(PF.engine_policy PF.Wdeq) ()
   in
   let rng = Rng.create 16 in
   let out = ref [] in
@@ -302,10 +304,8 @@ let churn_events () =
   List.rev !out
 
 (* Journal lines and final metrics of one engine over the stream. *)
-let churn_run ?record_segments ?kinetic policy events =
-  let eng =
-    HF.En.create ?record_segments ?kinetic ~capacity:64. ~policy:(PF.engine_policy policy) ()
-  in
+let churn_run ?kinetic policy events =
+  let eng = HF.En.create ?kinetic ~capacity:64. ~policy:(PF.engine_policy policy) () in
   let lines = ref [] and seq = ref 0 in
   let push e =
     lines := HF.J.to_line ~seq:!seq e :: !lines;
@@ -322,19 +322,17 @@ let churn_run ?record_segments ?kinetic policy events =
     events;
   (List.rev !lines, HF.En.metrics_json eng)
 
-(* The kinetic engine on the float fast paths against the list-policy
-   engine on the generic ones, at churn scale, for WDEQ and DEQ: same
-   journal bytes, same final metrics. The digests were captured from
-   the code before the float reshare bodies existed, so they pin the
-   bytes themselves, not only the agreement of the two engines. *)
+(* The kinetic engine (float reshare body) against the list-policy
+   engine, at churn scale, for WDEQ and DEQ: same journal bytes, same
+   final metrics. The digests were captured from the code before the
+   float reshare bodies existed, so they pin the bytes themselves, not
+   only the agreement of the two engines. *)
 let test_churn_identity () =
   let events = churn_events () in
   List.iter
     (fun (policy, digest) ->
       let what = PF.name policy in
-      let kl, km =
-        churn_run ~record_segments:false ?kinetic:(PF.engine_kinetic policy) policy events
-      in
+      let kl, km = churn_run ?kinetic:(PF.engine_kinetic policy) policy events in
       let ll, lm = churn_run policy events in
       Alcotest.(check int) (what ^ ": journal length") (List.length ll) (List.length kl);
       List.iter2 (fun a b -> Alcotest.(check string) (what ^ ": journal line") a b) ll kl;
@@ -416,17 +414,23 @@ let check_refused ~what apply fingerprint =
 let test_non_finite_advance () =
   let spec = Support.uspec ~procs:2 [ ((1, 1), 1); ((2, 1), 2) ] in
   let inst = Support.finst spec in
+  (* a linear-only engine runs the float kernel; one holding a curved
+     task runs the generic loop on float *)
   List.iter
-    (fun record_segments ->
-      let eng = HF.fresh ~record_segments inst in
+    (fun (what, speedup) ->
+      let eng = HF.fresh inst in
       ignore (HF.ok (HF.submit eng inst 0));
       ignore (HF.ok (HF.En.apply eng (HF.En.Advance 1e308)));
       ignore (HF.ok (HF.submit eng inst 1));
-      check_refused
-        ~what:(if record_segments then "engine" else "engine --no-segments")
-        (HF.En.apply eng)
-        (fun () -> HF.En.dump eng ^ HF.En.metrics_json eng))
-    [ true; false ];
+      Option.iter
+        (fun sp ->
+          let curved =
+            HF.En.Submit { id = 2; volume = 1.; weight = 1.; cap = 2.; speedup = Some sp; deps = [] }
+          in
+          ignore (HF.ok (HF.En.apply eng curved)))
+        speedup;
+      check_refused ~what (HF.En.apply eng) (fun () -> HF.En.dump eng ^ HF.En.metrics_json eng))
+    [ ("engine", None); ("engine with a curved task", Some ([| 1.; 2. |], [| 1.; 1.5 |])) ];
   let module St = Mwct_runtime.Shard.Float in
   let st =
     St.create ~nshards:2 ~route:St.Mod ~capacity:2. ~allocator:HF.wdeq_policy
@@ -595,8 +599,7 @@ let () =
         [
           p prop_kinetic_identity_float;
           p prop_kinetic_identity_exact;
-          p prop_nosegments_identity_float;
-          p prop_nosegments_identity_exact;
+          p prop_float_kernels_identity;
           Alcotest.test_case "kinetic = list at churn scale, bytes pinned" `Quick
             test_churn_identity;
         ] );

@@ -218,13 +218,7 @@ let test_latency_histogram () =
   Alcotest.(check bool) "quantiles monotone" true (q 0.5 <= q 0.9 && q 0.9 <= q 0.99);
   let json = M.to_json ~alive:0 ~now:0. m in
   Alcotest.(check bool) "lat fields present" true (contains json "lat_p50_us");
-  Alcotest.(check bool) "lat count present" true (contains json "\"lat_events\":111");
-  (* lat_count keys the snapshot memo: a fresh observation must change
-     equality, so the memoized json is invalidated *)
-  let before = M.copy m in
-  Alcotest.(check bool) "copy equal" true (M.equal before m);
-  M.observe_latency m 1e-6;
-  Alcotest.(check bool) "observation breaks equality" false (M.equal before m)
+  Alcotest.(check bool) "lat count present" true (contains json "\"lat_events\":111")
 
 (* ---------- store smoke: zero-capacity shard rides along ---------- *)
 
