@@ -337,15 +337,17 @@ let simulate_cmd =
       match releases with
       | None -> Array.make n 0.
       | Some s -> (
-        let parts = String.split_on_char ',' s in
-        match List.map float_of_string_opt parts with
-        | exception _ -> Printf.eprintf "error: bad releases\n"; exit exit_bad_input
-        | floats ->
-          if List.exists Option.is_none floats || List.length floats <> n then begin
-            Printf.eprintf "error: --releases needs %d comma-separated numbers\n" n;
-            exit exit_bad_input
-          end
-          else Array.of_list (List.map Option.get floats))
+        let parts = List.map float_of_string_opt (String.split_on_char ',' s) in
+        if List.exists Option.is_none parts || List.length parts <> n then begin
+          Printf.eprintf "error: --releases needs %d comma-separated numbers\n" n;
+          exit exit_bad_input
+        end;
+        let releases = Array.of_list (List.map Option.get parts) in
+        match Array.find_opt (fun r -> not (Float.is_finite r && r >= 0.)) releases with
+        | Some r ->
+          Printf.eprintf "error: --releases: %g is not a finite non-negative release date\n" r;
+          exit exit_bad_input
+        | None -> releases)
     in
     let tr = Sim.run ~releases inst policy in
     List.iter
@@ -367,64 +369,57 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Run a non-clairvoyant policy with optional task arrivals and print the event trace.")
     Term.(const run $ file $ policy $ releases)
 
-(* ---------- serve ---------- *)
+(* ---------- policy gate ---------- *)
 
-(* Long-lived online front end over the sharded runtime store: events
-   come in as line-delimited commands (text grammar or journal JSONL,
-   auto-detected per line), decisions and metrics go out as JSONL.
-   With --shards 1 (the default) the store is a transparent shim over
-   a single engine — output bytes are identical to driving the engine
-   directly; --shards N partitions tasks by --tenant-key across N
-   engine shards re-budgeted each tick by a cross-shard WDEQ allocator
-   (DESIGN.md §14). The policy argument is gated through the solver
-   registry's capability flags: a registry algorithm may drive the
-   engine only if it is Non_clairvoyant; policy-only names (equi,
-   priority-weight) pass through. Deterministic output — wall-clock
-   gauges are never printed (--latency only feeds the metrics
-   histogram) — so the golden CLI tests can diff it byte for byte.
+(* The registry gate for online policy names, shared by serve and
+   whatif: a registry algorithm may drive the engine only if it is
+   Non_clairvoyant; policy-only names (equi, priority-weight) pass
+   through. [~dag:true] (whatif) also admits the frontier DAG
+   policies, which run as their bag kernels: the engine's
+   dormant-to-alive lifecycle already restricts the alive set to the
+   precedence frontier they compute over. *)
+module Gate (F : Mwct_field.Field.S) = struct
+  module P = Mwct_ncv.Policy.Make (F)
 
-   Text grammar (one command per line; '#' starts a comment):
-     submit ID VOLUME WEIGHT CAP
-     cancel ID
-     advance DT
-     drain
-     metrics
-     quit *)
-module Serve_runner (D : sig
-  module F : Mwct_field.Field.S
-end) =
-struct
-  module St = Mwct_runtime.Shard.Make (D.F)
-  module En = St.En
-  module J = St.J
-  module P = Mwct_ncv.Policy.Make (D.F)
-  module Ingest = Mwct_runtime.Ingest
-
-  let policy_names = String.concat ", " (List.map P.name P.all)
-
-  let error_json msg =
-    let b = Buffer.create (String.length msg + 32) in
-    Buffer.add_string b "{\"type\":\"error\"";
-    Mwct_runtime.Json_out.string b "msg" msg;
-    Buffer.add_char b '}';
-    Buffer.contents b
-
-  (* Resolve a policy name through the registry capability gate. *)
-  let resolve_policy name =
-    (match Solver.find_info name with
+  let resolve ?(dag = false) name : (P.t, string) result =
+    let aliases = if dag then [ ("wdeq-dag", P.Wdeq); ("deq-dag", P.Deq) ] else [] in
+    let known = String.concat ", " (List.map P.name P.all @ List.map fst aliases) in
+    match Solver.find_info name with
     | Some i when not (Solver.info_has_cap Solver.Non_clairvoyant i) ->
       Error
         (Printf.sprintf
            "algorithm %S is registered but not non-clairvoyant (caps: %s); online policies: %s" name
            (match Solver.caps_to_string i with "" -> "-" | s -> s)
-           policy_names)
-    | _ -> Ok ())
-    |> Result.map (fun () -> P.of_name name)
-    |> fun r ->
-    match r with
-    | Error _ as e -> e
-    | Ok (Some p) -> Ok p
-    | Ok None -> Error (Printf.sprintf "unknown policy %S; known: %s" name policy_names)
+           known)
+    | _ -> (
+      match List.assoc_opt name aliases with
+      | Some p -> Ok p
+      | None -> (
+        match P.of_name name with
+        | Some p -> Ok p
+        | None -> Error (Printf.sprintf "unknown policy %S; known: %s" name known)))
+end
+
+(* ---------- serve ---------- *)
+
+(* Long-lived online front end: the loop itself (text grammar and
+   journal JSONL, auto-detected per line; decisions, errors and metrics
+   out as JSONL) is Mwct_runtime.Serve. This runner validates the
+   flags, opens the files and reads the lines. With --shards 1 (the
+   default) the store is a transparent shim over a single engine;
+   --shards N partitions tasks by --tenant-key across N engine shards
+   re-budgeted each tick by a cross-shard WDEQ allocator (DESIGN.md
+   §14). Deterministic output: wall-clock gauges are never printed
+   (--latency only feeds the metrics histogram), so the golden CLI
+   tests can diff it byte for byte. *)
+module Serve_runner (F : Mwct_field.Field.S) = struct
+  module S = Mwct_runtime.Serve.Make (F)
+  module G = Gate (F)
+
+  let resolve name =
+    Result.map
+      (fun p -> { S.share = G.P.engine_policy p; kinetic = (fun () -> G.P.engine_kinetic p) })
+      (G.resolve name)
 
   let run ~policy_name ~procs_str ~input ~record_path ~nshards ~tenant_key ~shard_cap_str ~latency :
       int =
@@ -435,24 +430,22 @@ struct
     if nshards < 1 then fail_input (Printf.sprintf "bad --shards value %d (need >= 1)" nshards);
     let route =
       match tenant_key with
-      | "hash" -> St.Hash
-      | "mod" -> St.Mod
+      | "hash" -> S.St.Hash
+      | "mod" -> S.St.Mod
       | other -> fail_input (Printf.sprintf "bad --tenant-key value %S (hash or mod)" other)
     in
     let shard_cap =
       match shard_cap_str with
       | None -> None
       | Some s -> (
-        match D.F.of_repr s with
-        | Some c when D.F.sign c > 0 -> Some c
+        match F.of_repr s with
+        | Some c when F.sign c > 0 -> Some c
         | _ -> fail_input (Printf.sprintf "bad --shard-cap value %S" s))
     in
-    let default_policy =
-      match resolve_policy policy_name with Ok p -> p | Error msg -> fail_input msg
-    in
-    let default_procs =
-      match D.F.of_repr procs_str with
-      | Some p when D.F.sign p > 0 -> p
+    let policy = match resolve policy_name with Ok p -> p | Error msg -> fail_input msg in
+    let capacity =
+      match F.of_repr procs_str with
+      | Some p when F.sign p > 0 -> p
       | _ -> fail_input (Printf.sprintf "bad --procs value %S" procs_str)
     in
     let ic =
@@ -465,176 +458,50 @@ struct
       | None -> None
       | Some p -> ( try Some (open_out p) with Sys_error msg -> fail_input msg)
     in
-    (* Per-shard journal files (PATH.<k>) only exist for a sharded run:
-       with one shard the merged journal IS the engine journal. *)
+    let line_sink oc line =
+      output_string oc line;
+      output_char oc '\n';
+      flush oc
+    in
+    (* Per-shard journal files (PATH.<k>) only exist for a sharded run
+       (with one shard the merged journal IS the engine journal), and
+       open with the store, whose init line is their first. *)
     let shard_ocs = ref [||] in
-    let store = ref None in
-    let init_store ~capacity ~policy ~policy_label =
-      let line_sink oc line =
-        output_string oc line;
-        output_char oc '\n';
-        flush oc
-      in
-      let shard_sink =
-        match record_path with
-        | Some p when nshards > 1 ->
-          let ocs =
-            Array.init nshards (fun k ->
-                try open_out (Printf.sprintf "%s.%d" p k)
-                with Sys_error msg -> fail_input msg)
-          in
-          shard_ocs := ocs;
-          Some (fun k line -> line_sink ocs.(k) line)
-        | _ -> None
-      in
-      let s =
-        St.create ?shard_cap
-          ?merged_sink:(Option.map line_sink record_oc)
-          ~decision_sink:print_endline ?shard_sink ~nshards ~route ~capacity
-          ~allocator:(P.engine_policy P.Wdeq) ~policy:(P.engine_policy policy)
-          ~kinetic:(fun () -> P.engine_kinetic policy)
-          ~policy_label ()
-      in
-      store := Some s;
-      s
+    let shard_sink =
+      match record_path with
+      | Some p when nshards > 1 ->
+        Some
+          (fun k line ->
+            if Array.length !shard_ocs = 0 then
+              shard_ocs :=
+                Array.init nshards (fun k ->
+                    try open_out (Printf.sprintf "%s.%d" p k) with Sys_error msg -> fail_input msg);
+            line_sink !shard_ocs.(k) line)
+      | _ -> None
     in
-    let get_store () =
-      match !store with
-      | Some s -> s
-      | None ->
-        init_store ~capacity:default_procs ~policy:default_policy ~policy_label:policy_name
+    let sv =
+      S.create ~resolve
+        ~allocator:(G.P.engine_policy G.P.Wdeq)
+        ?clock:(if latency then Some Unix.gettimeofday else None)
+        ~out:print_endline
+        ?merged_sink:(Option.map line_sink record_oc)
+        ?shard_sink ?shard_cap ~nshards ~route ~capacity ~policy_label:policy_name ~policy ()
     in
-    let handle_event ev =
-      let s = get_store () in
-      let t0 = if latency then Unix.gettimeofday () else 0. in
-      (* decision lines reach stdout through the store's decision sink *)
-      (match St.apply s ev with
-      | Ok _ -> ()
-      | Error err -> print_endline (error_json (En.error_to_string err)));
-      if latency then St.observe_latency s (Unix.gettimeofday () -. t0)
+    let rec loop () =
+      match In_channel.input_line ic with
+      | Some line when S.feed_line sv line = S.Continue -> loop ()
+      | _ -> ()
     in
-    let handle_init ~capacity ~policy_label =
-      if !store <> None then print_endline (error_json "init after events; line ignored")
-      else
-        match resolve_policy policy_label with
-        | Error msg -> print_endline (error_json msg)
-        | Ok p ->
-          if D.F.sign capacity <= 0 then print_endline (error_json "init: capacity must be positive")
-          else ignore (init_store ~capacity ~policy:p ~policy_label)
-    in
-    let num s = D.F.of_repr s in
-    let handle_text_line line =
-      let parts = String.split_on_char ' ' line |> List.filter (fun s -> s <> "") in
-      match parts with
-      | [] -> ()
-      | cmd :: _ when String.length cmd > 0 && cmd.[0] = '#' -> ()
-      | "submit" :: id :: v :: w :: c :: rest -> (
-        (* Optional trailing breakpoints "x1:y1 x2:y2 ..." select the
-           concave speedup law; none means linear (rate = share). A
-           trailing "deps:j,k" token lists precedence parents — the
-           task stays dormant until every listed task completes. *)
-        let deps_tokens, bps =
-          List.partition
-            (fun p -> String.length p > 5 && String.sub p 0 5 = "deps:")
-            rest
-        in
-        let deps =
-          match deps_tokens with
-          | [] -> Ok []
-          | [ tok ] -> (
-            let body = String.sub tok 5 (String.length tok - 5) in
-            match
-              String.split_on_char ',' body
-              |> List.filter (fun s -> s <> "")
-              |> List.map int_of_string_opt
-            with
-            | ids when ids <> [] && List.for_all Option.is_some ids ->
-              Ok (List.filter_map Fun.id ids)
-            | _ -> Error ())
-          | _ -> Error ()
-        in
-        let speedup =
-          if bps = [] then Ok None
-          else
-            let parse_bp p =
-              match String.index_opt p ':' with
-              | None -> None
-              | Some i -> (
-                match
-                  ( num (String.sub p 0 i),
-                    num (String.sub p (i + 1) (String.length p - i - 1)) )
-                with
-                | Some x, Some y -> Some (x, y)
-                | _ -> None)
-            in
-            match List.map parse_bp bps with
-            | pairs when List.for_all Option.is_some pairs ->
-              let pairs = List.filter_map Fun.id pairs in
-              Ok
-                (Some
-                   ( Array.of_list (List.map fst pairs),
-                     Array.of_list (List.map snd pairs) ))
-            | _ -> Error ()
-        in
-        match (int_of_string_opt id, num v, num w, num c, speedup, deps) with
-        | Some id, Some volume, Some weight, Some cap, Ok speedup, Ok deps ->
-          handle_event (En.Submit { id; volume; weight; cap; speedup; deps })
-        | _ -> print_endline (error_json ("submit: bad arguments: " ^ line)))
-      | [ "cancel"; id ] -> (
-        match int_of_string_opt id with
-        | Some id -> handle_event (En.Cancel id)
-        | None -> print_endline (error_json ("cancel: bad task id: " ^ line)))
-      | [ "advance"; dt ] -> (
-        match num dt with
-        | Some dt -> handle_event (En.Advance dt)
-        | None -> print_endline (error_json ("advance: bad duration: " ^ line)))
-      | [ "drain" ] -> handle_event En.Drain
-      | [ "metrics" ] -> print_endline (St.metrics_json (get_store ()))
-      | _ -> print_endline (error_json ("unknown command: " ^ line))
-    in
-    let handle_json_line line =
-      match J.of_line line with
-      | Error msg -> print_endline (error_json ("bad journal line: " ^ msg))
-      | Ok (_, J.Init { capacity; policy }) -> handle_init ~capacity ~policy_label:policy
-      | Ok (_, J.Input ev) -> handle_event ev
-      | Ok (_, (J.Output _ | J.Budget _ | J.Policy _)) -> ()
-      (* out lines are the recorded run's decisions, budget lines its
-         per-tick shard allocations, and policy lines a branch run's
-         mid-stream switches; this run recomputes its own
-         (Journal.replay is the strict verifier) *)
-    in
-    (* 64KiB-chunked reader (Ingest): input_line's per-character channel
-       reads are measurable at serve's event rates. Same line semantics,
-       including a final unterminated line. *)
-    let reader = Ingest.create ic in
-    let quit = ref false in
-    let eof = ref false in
-    while not (!quit || !eof) do
-      match Ingest.next_line reader with
-      | None -> eof := true
-      | Some line ->
-        let trimmed = String.trim line in
-        if trimmed = "quit" || trimmed = "exit" then quit := true
-        else if String.length trimmed > 0 && trimmed.[0] = '{' then handle_json_line trimmed
-        else handle_text_line trimmed
-    done;
-    (* Final metrics line: the state the process ends on. An empty
-       input stream still initializes the store, so the line (and exit
-       0) is emitted even when no event ever arrived. *)
-    print_endline (St.metrics_json (get_store ()));
-    (match record_oc with Some oc -> close_out oc | None -> ());
+    loop ();
+    S.finish sv;
+    Option.iter close_out record_oc;
     Array.iter close_out !shard_ocs;
     if ic != stdin then close_in ic;
     0
 end
 
-module Serve_float = Serve_runner (struct
-  module F = Mwct_field.Field.Float_field
-end)
-
-module Serve_exact = Serve_runner (struct
-  module F = Mwct_rational.Rational.Rat_field
-end)
+module Serve_float = Serve_runner (Mwct_field.Field.Float_field)
+module Serve_exact = Serve_runner (Mwct_rational.Rational.Rat_field)
 
 let serve_cmd =
   let policy =
@@ -717,10 +584,8 @@ let serve_cmd =
    engine, run each branch's mutation set — policy switch, tenant load
    scaling, event injection — and price every branch against the
    straight line (ΔΣw·C, ΔΣw·(C−r), first divergence, per-tenant
-   deltas). Policy names go through the same registry capability gate
-   as serve; the frontier DAG policies are admitted and run as their
-   bag kernels (the engine's dormant→alive lifecycle already restricts
-   the alive set to the precedence frontier they compute over). *)
+   deltas). Policy names go through serve's registry gate, with the
+   frontier DAG policies admitted. *)
 module Whatif_runner (D : sig
   module F : Mwct_field.Field.S
 
@@ -731,33 +596,13 @@ struct
   module J = Mwct_runtime.Journal.Make (D.F)
   module B = Mwct_runtime.Branch.Make (D.F)
   module L = Mwct_runtime.Loadgen.Make (D.F)
-  module P = Mwct_ncv.Policy.Make (D.F)
+  module G = Gate (D.F)
 
-  let policy_names = String.concat ", " (List.map P.name P.all @ [ "wdeq-dag"; "deq-dag" ])
-
-  let policy_of_name = function
-    | "wdeq-dag" -> Some P.Wdeq
-    | "deq-dag" -> Some P.Deq
-    | name -> P.of_name name
-
-  let resolve_policy name =
-    match Solver.find_info name with
-    | Some i when not (Solver.info_has_cap Solver.Non_clairvoyant i) ->
-      Error
-        (Printf.sprintf
-           "algorithm %S is registered but not non-clairvoyant (caps: %s); online policies: %s" name
-           (match Solver.caps_to_string i with "" -> "-" | s -> s)
-           policy_names)
-    | _ -> (
-      match policy_of_name name with
-      | Some p -> Ok p
-      | None -> Error (Printf.sprintf "unknown policy %S; known: %s" name policy_names))
-
-  let resolve name =
-    match resolve_policy name with Ok p -> Some (P.engine_policy p) | Error _ -> None
+  let resolve_policy = G.resolve ~dag:true
+  let resolve name = Result.to_option (Result.map G.P.engine_policy (resolve_policy name))
 
   let kinetic_for name =
-    match resolve_policy name with Ok p -> P.engine_kinetic p | Error _ -> None
+    match resolve_policy name with Ok p -> G.P.engine_kinetic p | Error _ -> None
 
   let run ~journal ~pattern_str ~seed ~tenants ~nevents ~procs_str ~base_policy ~fork_at
       ~branch_specs ~drain ~emit_stream ~json : int =
@@ -768,36 +613,9 @@ struct
     let capacity, policy_name, events =
       match journal with
       | Some path -> (
-        match J.load path with
-        | Error msg -> fail_input (Printf.sprintf "%s: %s" path msg)
-        | Ok entries ->
-          let capacity, policy_name, rest =
-            match entries with
-            | (_, J.Init { capacity; policy }) :: rest -> (capacity, policy, rest)
-            | _ -> fail_input (Printf.sprintf "%s: journal must start with an init line" path)
-          in
-          let events =
-            List.filter_map
-              (fun (seq, e) ->
-                match e with
-                | J.Input ev -> Some ev
-                | J.Output _ -> None (* the branch runner recomputes decisions *)
-                | J.Init _ -> fail_input (Printf.sprintf "%s: seq %d: duplicate init line" path seq)
-                | J.Budget _ ->
-                  fail_input
-                    (Printf.sprintf
-                       "%s: seq %d: budget lines (sharded per-shard journals) are not supported; \
-                        branch on the merged run or a single-engine journal"
-                       path seq)
-                | J.Policy _ ->
-                  fail_input
-                    (Printf.sprintf
-                       "%s: seq %d: this journal already contains a policy switch (a branch \
-                        journal); branch on the original straight-line journal"
-                       path seq))
-              rest
-          in
-          (capacity, policy_name, events))
+        match B.load_stream path with
+        | Ok stream -> stream
+        | Error msg -> fail_input (Printf.sprintf "%s: %s" path msg))
       | None ->
         let pattern =
           match L.pattern_of_string pattern_str with

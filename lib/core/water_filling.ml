@@ -81,11 +81,14 @@ module Make (F : Mwct_field.Field.S) = struct
          piecewise-linear function; [slope] its right derivative. *)
       let rec sweep level filled slope = function
         | [] ->
-          (* Last stretch reaches up to [cap]. *)
+          (* Last stretch reaches up to [cap]. Past every closing
+             event a float slope can be rounding residue, and dividing
+             by it overshoots: the level is clamped to [cap], which
+             an exact field never exceeds here. *)
           let at_cap = F.add filled (F.mul slope (F.sub cap level)) in
           if F.compare filled v >= 0 then Some level
           else if F.compare at_cap v >= 0 && F.sign slope > 0 then
-            Some (F.add level (F.div (F.sub v filled) slope))
+            Some (F.min cap (F.add level (F.div (F.sub v filled) slope)))
           else if F.leq_approx v at_cap then Some cap
           else None
         | (lv, dslope) :: rest ->

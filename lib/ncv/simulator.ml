@@ -47,7 +47,8 @@ module Make (F : Mwct_field.Field.S) = struct
 
   (** Simulate [policy] on [inst] with [releases] (defaults to all
       zeros). Raises [Invalid_argument] on an instance with precedence
-      edges, or if a task can never progress (impossible for the
+      edges, on a negative or non-finite release, or if a task can
+      never progress (impossible for the
       provided policies: every alive task has a positive weight and
       cap... except [Priority_weight], which can starve tasks while
       heavier ones run — starvation resolves when the heavy tasks
@@ -56,6 +57,13 @@ module Make (F : Mwct_field.Field.S) = struct
     let n = I.num_tasks inst in
     let releases = match releases with Some r -> r | None -> Array.make n F.zero in
     if Array.length releases <> n then invalid_arg "Simulator.run: releases length mismatch";
+    Array.iteri
+      (fun i r ->
+        if F.sign r < 0 || not (Mwct_field.Field.is_finite F.witness r) then
+          invalid_arg
+            (Printf.sprintf "Simulator.run: release %d is %s (need finite and >= 0)" i
+               (F.to_string r)))
+      releases;
     if I.has_deps inst then
       invalid_arg "Simulator.run: precedence edges are not modelled (independent tasks only)";
     let eng =
@@ -180,7 +188,6 @@ module Make (F : Mwct_field.Field.S) = struct
   (** Validity of a trace: shares within caps, capacity respected at
       every instant, no work before release, volumes conserved. *)
   let check (tr : trace) : (unit, string) result =
-    let n = Array.length tr.records in
     let exception Bad of string in
     try
       (* Per-task checks. *)
@@ -202,30 +209,46 @@ module Make (F : Mwct_field.Field.S) = struct
           if not (F.equal_approx v tr.instance.T.tasks.(i).T.volume) then
             raise (Bad (Printf.sprintf "task %d: volume mismatch" i)))
         pv;
-      (* Capacity at segment boundaries (shares are piecewise constant
-         between consecutive boundaries). *)
+      (* Capacity between consecutive segment boundaries, where shares
+         are constant. A sweep over the sorted boundaries keeps the set
+         of segments covering the current interval (start <= a < end,
+         every segment being non-empty by now) and sums each interval
+         afresh in task order, then segment order: the order of a scan
+         of every segment per interval, so each verdict is
+         bit-identical to one. A running total would drift by about
+         the [leq_approx] tolerance on full intervals. *)
+      let segs =
+        Array.of_list (List.concat_map (fun (r : record) -> r.segments) (Array.to_list tr.records))
+      in
+      let m = Array.length segs in
+      let lo = Array.map (fun (a, _, _) -> a) segs and hi = Array.map (fun (_, b, _) -> b) segs in
+      let sorted_by key =
+        let idx = Array.init m Fun.id in
+        Array.stable_sort (fun x y -> F.compare key.(x) key.(y)) idx;
+        idx
+      in
+      let starts = sorted_by lo and ends = sorted_by hi in
       let boundaries =
-        List.sort_uniq F.compare
-          (List.concat_map
-             (fun (r : record) -> List.concat_map (fun (a, b, _) -> [ a; b ]) r.segments)
-             (Array.to_list tr.records))
+        Array.of_list (List.sort_uniq F.compare (Array.to_list lo @ Array.to_list hi))
       in
-      let rec pairs = function
-        | a :: (b :: _ as rest) ->
-          let mid_lo = a and mid_hi = b in
-          let total = ref F.zero in
-          for i = 0 to n - 1 do
-            List.iter
-              (fun (s0, s1, s) ->
-                if F.compare s0 mid_lo <= 0 && F.compare mid_hi s1 <= 0 then total := F.add !total s)
-              tr.records.(i).segments
-          done;
-          if not (F.leq_approx !total tr.instance.T.procs) then
-            raise (Bad "capacity exceeded between events");
-          pairs rest
-        | _ -> ()
-      in
-      pairs boundaries;
+      let module Iset = Set.Make (Int) in
+      let active = ref Iset.empty and si = ref 0 and ei = ref 0 in
+      for k = 0 to Array.length boundaries - 2 do
+        let a = boundaries.(k) in
+        while !si < m && F.compare lo.(starts.(!si)) a <= 0 do
+          active := Iset.add starts.(!si) !active;
+          incr si
+        done;
+        while !ei < m && F.compare hi.(ends.(!ei)) a <= 0 do
+          active := Iset.remove ends.(!ei) !active;
+          incr ei
+        done;
+        let total =
+          Iset.fold (fun g acc -> match segs.(g) with _, _, s -> F.add acc s) !active F.zero
+        in
+        if not (F.leq_approx total tr.instance.T.procs) then
+          raise (Bad "capacity exceeded between events")
+      done;
       Ok ()
     with Bad msg -> Error msg
 

@@ -179,10 +179,44 @@ module Make (F : Mwct_field.Field.S) = struct
 
   let ( let* ) = Result.bind
 
+  (* ---------- journal input ---------- *)
+
+  (** A recorded journal as the runner's input: its capacity, policy
+      name and input events. [out] lines are dropped, since the runner
+      recomputes decisions. Refused, with the offending seq: a journal
+      that does not open with [init], a second [init], a [budget] line
+      (a sharded run's per-shard journal) and a [policy] line (a branch
+      journal). Messages do not name the file. *)
+  let load_stream (path : string) : (F.t * string * En.event list, string) result =
+    let* entries = J.load path in
+    match entries with
+    | (_, J.Init { capacity; policy }) :: rest ->
+      let rec go acc = function
+        | [] -> Ok (capacity, policy, List.rev acc)
+        | (_, J.Input ev) :: rest -> go (ev :: acc) rest
+        | (_, J.Output _) :: rest -> go acc rest
+        | (seq, J.Init _) :: _ -> Error (Printf.sprintf "seq %d: duplicate init line" seq)
+        | (seq, J.Budget _) :: _ ->
+          Error
+            (Printf.sprintf
+               "seq %d: budget lines (sharded per-shard journals) are not supported; branch on \
+                the merged run or a single-engine journal"
+               seq)
+        | (seq, J.Policy _) :: _ ->
+          Error
+            (Printf.sprintf
+               "seq %d: this journal already contains a policy switch (a branch journal); \
+                branch on the original straight-line journal"
+               seq)
+      in
+      go [] rest
+    | _ -> Error "journal must start with an init line"
+
   (* Apply [events] in order, journaling each accepted input and its
      completions and collecting (id, at) decisions. [lenient] drops
-     refused events (counted) instead of failing. *)
-  let drive ~lenient eng emit outs events : (int * int, string) result =
+     refused events (counted) instead of failing; a failure names the
+     event's index plus [first]. *)
+  let drive ?(first = 0) ~lenient eng emit outs events : (int * int, string) result =
     let applied = ref 0 and dropped = ref 0 in
     let err = ref None in
     List.iteri
@@ -199,7 +233,7 @@ module Make (F : Mwct_field.Field.S) = struct
               notes
           | Error e ->
             if lenient then incr dropped
-            else err := Some (Printf.sprintf "event %d: %s" i (En.error_to_string e)))
+            else err := Some (Printf.sprintf "event %d: %s" (first + i) (En.error_to_string e)))
       events;
     match !err with Some m -> Error m | None -> Ok (!applied, !dropped)
 
@@ -274,40 +308,30 @@ module Make (F : Mwct_field.Field.S) = struct
         | Some p -> Ok p
         | None -> Error (Printf.sprintf "unknown policy %S" policy)
       in
-      (* baseline: the straight-line run over the whole stream *)
-      let* baseline_rev_lines, baseline_outs, baseline_wc, baseline_wflow, baseline_tenant =
-        let eng = En.create ~capacity ~policy:p0 ?kinetic:(kinetic_for policy) () in
-        let lines = ref [] and seq = ref 0 in
-        let emit e =
-          lines := J.to_line ~seq:!seq e :: !lines;
-          incr seq
-        in
-        emit (J.Init { capacity; policy });
-        let outs = ref [] in
-        let* _ = Result.map_error (fun m -> "baseline: " ^ m) (drive ~lenient:false eng emit outs events) in
-        Ok
-          ( !lines,
-            List.rev !outs,
-            En.weighted_completion eng,
-            En.weighted_flow eng,
-            tenant_wc ~tenants eng )
-      in
-      (* prefix: replay to the fork point once, snapshot *)
+      (* baseline: the straight-line run over the whole stream, which
+         leaves a snapshot, its journal and its decisions at the fork
+         point on the way *)
       let prefix_events, suffix_events = split_at fork_at events in
-      let* snap, prefix_rev_lines, prefix_seq, prefix_outs_rev =
-        let eng = En.create ~capacity ~policy:p0 ?kinetic:(kinetic_for policy) () in
-        let lines = ref [] and seq = ref 0 in
-        let emit e =
-          lines := J.to_line ~seq:!seq e :: !lines;
-          incr seq
-        in
-        emit (J.Init { capacity; policy });
-        let outs = ref [] in
-        let* _ =
-          Result.map_error (fun m -> "prefix: " ^ m) (drive ~lenient:false eng emit outs prefix_events)
-        in
-        Ok (En.snapshot eng, !lines, !seq, !outs)
+      let base = En.create ~capacity ~policy:p0 ?kinetic:(kinetic_for policy) () in
+      let base_lines = ref [] and base_seq = ref 0 and base_outs = ref [] in
+      let base_emit e =
+        base_lines := J.to_line ~seq:!base_seq e :: !base_lines;
+        incr base_seq
       in
+      base_emit (J.Init { capacity; policy });
+      let baseline ?first evs =
+        Result.map_error
+          (fun m -> "baseline: " ^ m)
+          (drive ?first ~lenient:false base base_emit base_outs evs)
+      in
+      let* _ = baseline prefix_events in
+      let snap = En.snapshot base in
+      let prefix_rev_lines = !base_lines and prefix_seq = !base_seq in
+      let prefix_outs_rev = !base_outs in
+      let* _ = baseline ~first:fork_at suffix_events in
+      let baseline_outs = List.rev !base_outs in
+      let baseline_wc = En.weighted_completion base and baseline_wflow = En.weighted_flow base in
+      let baseline_tenant = tenant_wc ~tenants base in
       let run_branch (sp : spec) : (outcome, string) result =
         let new_policy =
           List.fold_left
@@ -385,7 +409,7 @@ module Make (F : Mwct_field.Field.S) = struct
           tenants;
           baseline_wc;
           baseline_wflow;
-          baseline_lines = List.rev baseline_rev_lines;
+          baseline_lines = List.rev !base_lines;
           branches;
         }
 

@@ -795,7 +795,14 @@ module Make (F : Mwct_field.Field.S) = struct
      (volume drains at the task's rate — the share itself under the
      linear law), then sweep the share list for completions
      ([leq_approx], matching the batch simulator's tolerance). Returns
-     the completions in share-list order. *)
+     the completions in share-list order.
+
+     A step that cannot move the clock ([t_next = now]) also completes
+     every task whose estimate lands on [now]: on float the clock's
+     resolution there is coarser than the remaining duration, so the
+     completion time rounds to [now], and no later step could move it
+     (such a task would otherwise stall the loop into its no-progress
+     error). Exact fields never meet this case. *)
   let advance_and_sweep t t_next =
     let nowv = t.now_cell.(0) in
     let dt = F.sub t_next nowv in
@@ -807,10 +814,17 @@ module Make (F : Mwct_field.Field.S) = struct
           t.c_remaining.(slot) <- F.sub_mul t.c_remaining.(slot) (slot_rate t slot s) dt
       done;
     t.now_cell.(0) <- t_next;
+    let pinned slot s =
+      F.sign dt = 0
+      &&
+      let r = slot_rate t slot s in
+      F.sign r > 0 && F.compare (F.add_div nowv t.c_remaining.(slot) r) nowv <= 0
+    in
     let ndone = ref 0 in
     for i = 0 to t.norder - 1 do
       let slot = t.order.(i) in
-      if F.sign t.c_share.(slot) > 0 && F.leq_approx t.c_remaining.(slot) F.zero then begin
+      let s = t.c_share.(slot) in
+      if F.sign s > 0 && (F.leq_approx t.c_remaining.(slot) F.zero || pinned slot s) then begin
         t.scratch_done.(!ndone) <- slot;
         incr ndone
       end
@@ -965,10 +979,9 @@ module Make (F : Mwct_field.Field.S) = struct
           t.iscratch.(1) <- 0;
           for i = 0 to n - 1 do
             let slot = Array.unsafe_get order i in
-            if
-              Array.unsafe_get share slot > 0.
-              && Array.unsafe_get remaining slot <= eps_zero
-            then begin
+            let s = Array.unsafe_get share slot in
+            let rem = Array.unsafe_get remaining slot in
+            if s > 0. && (rem <= eps_zero || (dt = 0. && nowv +. (rem /. s) <= nowv)) then begin
               t.scratch_done.(t.iscratch.(1)) <- slot;
               t.iscratch.(1) <- t.iscratch.(1) + 1
             end

@@ -1,78 +1,8 @@
-(* Buffered line ingestion for [serve]. [input_line] reads the
-   underlying fd one character at a time through the channel's small
-   buffer refill path; at serve's event rates the syscall + bounds
-   checks per byte show up in the profile. This reader pulls 64KiB
-   chunks with [input] and scans for newlines in the chunk, so the
-   per-line cost is one [Bytes.index_from] plus a substring.
+(* Line ingestion is [In_channel.input_line]: [mwct serve] reads with it
+   directly. These aliases remain for the benchmark sources that still
+   call [Ingest]. *)
 
-   Semantics match [input_line]: the returned string excludes the
-   terminating '\n'; a final line without a trailing newline is still
-   returned; [next_line] yields [None] (instead of raising
-   [End_of_file]) once the stream is exhausted. '\r' is not treated
-   specially, same as [input_line]. *)
+type t = In_channel.t
 
-let chunk_size = 65536
-
-type t = {
-  ic : in_channel;
-  buf : bytes;  (* current chunk *)
-  mutable pos : int;  (* next unconsumed byte in [buf] *)
-  mutable len : int;  (* valid bytes in [buf] *)
-  mutable eof : bool;
-  pending : Buffer.t;  (* prefix of a line split across chunks *)
-}
-
-let create ic =
-  {
-    ic;
-    buf = Bytes.create chunk_size;
-    pos = 0;
-    len = 0;
-    eof = false;
-    pending = Buffer.create 256;
-  }
-
-let refill t =
-  let n = input t.ic t.buf 0 chunk_size in
-  t.pos <- 0;
-  t.len <- n;
-  if n = 0 then t.eof <- true
-
-let rec next_line t : string option =
-  if t.pos < t.len then begin
-    let nl =
-      try
-        let i = Bytes.index_from t.buf t.pos '\n' in
-        if i < t.len then Some i else None
-      with Not_found -> None
-    in
-    match nl with
-    | Some i ->
-      let line =
-        if Buffer.length t.pending = 0 then
-          Bytes.sub_string t.buf t.pos (i - t.pos)
-        else begin
-          Buffer.add_subbytes t.pending t.buf t.pos (i - t.pos);
-          let s = Buffer.contents t.pending in
-          Buffer.clear t.pending;
-          s
-        end
-      in
-      t.pos <- i + 1;
-      Some line
-    | None ->
-      (* rest of the chunk is an unterminated prefix *)
-      Buffer.add_subbytes t.pending t.buf t.pos (t.len - t.pos);
-      t.pos <- t.len;
-      next_line t
-  end
-  else if not t.eof then begin
-    refill t;
-    next_line t
-  end
-  else if Buffer.length t.pending > 0 then begin
-    let s = Buffer.contents t.pending in
-    Buffer.clear t.pending;
-    Some s
-  end
-  else None
+let create (ic : In_channel.t) : t = ic
+let next_line : t -> string option = In_channel.input_line

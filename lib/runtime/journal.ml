@@ -116,6 +116,39 @@ module Make (F : Mwct_field.Field.S) = struct
   (** One journal line (no trailing newline): {!frame} of {!payload}. *)
   let to_line ?shard ~seq (e : entry) : string = frame ?shard ~seq (payload e)
 
+  (* ---------- payload tokens ---------- *)
+
+  (** One speedup breakpoint ["x:y"]: allocation [x], rate [y], each
+      an {!F.of_repr} number. A token with two bad numbers reports the
+      rate. [serve]'s text grammar reads its breakpoint tokens with
+      it. *)
+  let breakpoint (p : string) : (F.t * F.t, string) result =
+    match String.index_opt p ':' with
+    | None -> Error (Printf.sprintf "speedup: not a breakpoint %S" p)
+    | Some i -> (
+      let num what r =
+        match F.of_repr r with
+        | Some x -> Ok x
+        | None -> Error (Printf.sprintf "speedup %s: unparseable number %S" what r)
+      in
+      let y = num "rate" (String.sub p (i + 1) (String.length p - i - 1)) in
+      match (y, num "allocation" (String.sub p 0 i)) with
+      | Error msg, _ | _, Error msg -> Error msg
+      | Ok y, Ok x -> Ok (x, y))
+
+  (** A dependency list: task ids separated by [sep], empty entries
+      skipped ([' '] in journals, [','] in [serve]'s [deps:] token). *)
+  let task_ids (sep : char) (s : string) : (int list, string) result =
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | "" :: rest -> go acc rest
+      | p :: rest -> (
+        match int_of_string_opt p with
+        | Some d -> go (d :: acc) rest
+        | None -> Error (Printf.sprintf "deps: not a task id %S" p))
+    in
+    go [] (String.split_on_char sep s)
+
   (* ---------- flat-object JSON parsing ---------- *)
 
   exception Parse of string
@@ -266,38 +299,21 @@ module Make (F : Mwct_field.Field.S) = struct
             in
             match raw with
             | None -> None
-            | Some s ->
-              let parse_num what r =
-                match F.of_repr r with
-                | Some x -> x
-                | None -> raise (Parse (Printf.sprintf "speedup %s: unparseable number %S" what r))
-              in
+            | Some s -> (
               let pairs =
                 String.split_on_char ' ' s
                 |> List.filter (fun p -> p <> "")
                 |> List.map (fun p ->
-                       match String.index_opt p ':' with
-                       | None -> raise (Parse (Printf.sprintf "speedup: not a breakpoint %S" p))
-                       | Some i ->
-                         ( parse_num "allocation" (String.sub p 0 i),
-                           parse_num "rate" (String.sub p (i + 1) (String.length p - i - 1)) ))
+                       match breakpoint p with Ok bp -> bp | Error msg -> raise (Parse msg))
               in
-              if pairs = [] then raise (Parse "speedup: empty breakpoint list")
-              else
-                Some
-                  ( Array.of_list (List.map fst pairs),
-                    Array.of_list (List.map snd pairs) )
+              match pairs with
+              | [] -> raise (Parse "speedup: empty breakpoint list")
+              | _ -> Some (Array.of_list (List.map fst pairs), Array.of_list (List.map snd pairs)))
           in
           let deps =
             match List.assoc_opt "deps" fields with
             | None -> []
-            | Some s ->
-              String.split_on_char ' ' s
-              |> List.filter (fun p -> p <> "")
-              |> List.map (fun p ->
-                     match int_of_string_opt p with
-                     | Some d -> d
-                     | None -> raise (Parse (Printf.sprintf "deps: not a task id %S" p)))
+            | Some s -> ( match task_ids ' ' s with Ok ids -> ids | Error msg -> raise (Parse msg))
           in
           Input
             (En.Submit

@@ -97,7 +97,7 @@ module Make (F : Mwct_field.Field.S) = struct
     engines : En.t array;
     (* per-shard alive membership (id -> weight, cap): the allocator's
        summary sums are maintained incrementally from it, and it is the
-       resync source when float drift trips the sign guard *)
+       re-sum source when float cancellation trips the drift guard *)
     tasks : (int, F.t * F.t) Hashtbl.t array;
     (* dormant (precedence-blocked) tasks per shard: id -> (weight,
        cap), parked until the engine activates them — only then do they
@@ -108,6 +108,10 @@ module Make (F : Mwct_field.Field.S) = struct
     home : (int, int) Hashtbl.t;
     w_sum : F.t array;
     d_sum : F.t array;
+    (* the largest value of each sum since its last re-sum: the drift
+       guard's reference *)
+    w_peak : F.t array;
+    d_peak : F.t array;
     (* summaries changed since the last allocator run; a clean tick
        reuses the standing budgets without calling the allocator *)
     mutable alloc_dirty : bool;
@@ -221,6 +225,8 @@ module Make (F : Mwct_field.Field.S) = struct
         home = Hashtbl.create 64;
         w_sum = Array.make nshards F.zero;
         d_sum = Array.make nshards F.zero;
+        w_peak = Array.make nshards F.zero;
+        d_peak = Array.make nshards F.zero;
         alloc_dirty = true;
         now = F.zero;
         merged_seq = 0;
@@ -355,11 +361,18 @@ module Make (F : Mwct_field.Field.S) = struct
 
   (* ---------- summaries & allocation ---------- *)
 
+  (* An alive task joins shard [k]'s allocator summary. *)
+  let add_task t k id w c =
+    Hashtbl.replace t.tasks.(k) id (w, c);
+    t.w_sum.(k) <- F.add t.w_sum.(k) w;
+    t.d_sum.(k) <- F.add t.d_sum.(k) c;
+    if F.compare t.w_sum.(k) t.w_peak.(k) > 0 then t.w_peak.(k) <- t.w_sum.(k);
+    if F.compare t.d_sum.(k) t.d_peak.(k) > 0 then t.d_peak.(k) <- t.d_sum.(k)
+
   (* A closed (completed or cancelled) task leaves the allocator's
-     summary sums. Exact on the rational field; on float the subtraction
-     leaves ulp residue, so an emptied shard snaps back to exact zero
-     and [reallocate]'s sign guard resyncs from the membership table if
-     drift ever makes a sum non-positive while tasks remain. *)
+     summary sums. Exact on the rational field; on float each update
+     rounds, so an emptied shard snaps back to exact zero and
+     [reallocate]'s drift guard re-sums from the membership table. *)
   let forget_task t k id =
     (match Hashtbl.find_opt t.tasks.(k) id with
     | Some (w, c) ->
@@ -371,7 +384,9 @@ module Make (F : Mwct_field.Field.S) = struct
     Hashtbl.remove t.dormant_meta.(k) id;
     if En.alive_count t.engines.(k) = 0 then begin
       t.w_sum.(k) <- F.zero;
-      t.d_sum.(k) <- F.zero
+      t.d_sum.(k) <- F.zero;
+      t.w_peak.(k) <- F.zero;
+      t.d_peak.(k) <- F.zero
     end
 
   (* After a shard completed tasks, any of its parked dormant tasks may
@@ -390,13 +405,20 @@ module Make (F : Mwct_field.Field.S) = struct
           t.alloc_dirty <- true;
           (* still present in the engine => activated; gone => it was
              closed (cascade cancel) and has nothing to contribute *)
-          if En.remaining t.engines.(k) id <> None then begin
-            Hashtbl.replace t.tasks.(k) id (w, c);
-            t.w_sum.(k) <- F.add t.w_sum.(k) w;
-            t.d_sum.(k) <- F.add t.d_sum.(k) c
-          end)
+          if En.remaining t.engines.(k) id <> None then add_task t k id w c)
         !moved
     end
+
+  (* Drift guard. Every float update of a sum rounds by at most 2^-53
+     of the sum's peak since the last re-sum, so after m updates the
+     error is at most m * 2^-53 * peak. A sum that is non-positive, or
+     has fallen below peak * 2^-20 (cancellation: a large task left),
+     is re-summed from the membership table; any other sum is within
+     m * 2^-33 of its true value, relatively. On the rational field the
+     re-sum reproduces the sum exactly. *)
+  let drift_scale = F.of_int (1 lsl 20)
+
+  let drifted sum peak = F.sign sum <= 0 || F.compare (F.mul sum drift_scale) peak < 0
 
   (* Split the total capacity across the nonempty shards and apply the
      budgets. Only an actual change dirties a shard (set_capacity is a
@@ -416,7 +438,7 @@ module Make (F : Mwct_field.Field.S) = struct
     for k = 0 to t.nshards - 1 do
       if
         En.alive_count t.engines.(k) > 0
-        && (F.sign t.w_sum.(k) <= 0 || F.sign t.d_sum.(k) <= 0)
+        && (drifted t.w_sum.(k) t.w_peak.(k) || drifted t.d_sum.(k) t.d_peak.(k))
       then begin
         let w = ref F.zero and d = ref F.zero in
         Hashtbl.iter
@@ -425,7 +447,9 @@ module Make (F : Mwct_field.Field.S) = struct
             d := F.add !d cp)
           t.tasks.(k);
         t.w_sum.(k) <- !w;
-        t.d_sum.(k) <- !d
+        t.d_sum.(k) <- !d;
+        t.w_peak.(k) <- !w;
+        t.d_peak.(k) <- !d
       end
     done;
     let views = ref [] in
@@ -654,10 +678,7 @@ module Make (F : Mwct_field.Field.S) = struct
               (* dormant: parked out of the allocator summaries until the
                  engine activates it *)
               Hashtbl.replace t.dormant_meta.(k) id (weight, cap)
-            | None ->
-              Hashtbl.replace t.tasks.(k) id (weight, cap);
-              t.w_sum.(k) <- F.add t.w_sum.(k) weight;
-              t.d_sum.(k) <- F.add t.d_sum.(k) cap);
+            | None -> add_task t k id weight cap);
             t.alloc_dirty <- true;
             emit_both t k (J.Input e);
             t.events <- t.events + 1;

@@ -217,6 +217,132 @@ let test_trace_pin () =
   Alcotest.(check string) "float traces" "11f8e4af84ec3bd79a34459dd084ad79" (digest bf);
   Alcotest.(check string) "exact traces" "11cfac115ae8cba3d8c735a5051f0707" (digest bq)
 
+(* ---------- release refusal and the capacity sweep ---------- *)
+
+let test_bad_releases () =
+  let inst = Support.finst (Support.uspec ~procs:2 [ ((1, 1), 1); ((1, 1), 1) ]) in
+  List.iter
+    (fun r ->
+      match Sim.run ~releases:[| 0.; r |] inst Pol.Wdeq with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "release %h accepted" r)
+    [ Float.infinity; Float.neg_infinity; Float.nan; -1. ]
+
+(* The capacity check as a scan of every segment per pair of
+   consecutive boundaries, kept as the reference for the sweep in
+   [Simulator.check]: the verdicts must agree exactly. *)
+module Scan (F : Mwct_field.Field.S) = struct
+  module S = Mwct_ncv.Simulator.Make (F)
+  module I = Mwct_core.Instance.Make (F)
+
+  let capacity (tr : S.trace) : (unit, string) result =
+    let boundaries =
+      List.sort_uniq F.compare
+        (List.concat_map
+           (fun (r : S.record) -> List.concat_map (fun (a, b, _) -> [ a; b ]) r.S.segments)
+           (Array.to_list tr.S.records))
+    in
+    let rec pairs = function
+      | a :: (b :: _ as rest) ->
+        let total = ref F.zero in
+        Array.iter
+          (fun (r : S.record) ->
+            List.iter
+              (fun (s0, s1, s) ->
+                if F.compare s0 a <= 0 && F.compare b s1 <= 0 then total := F.add !total s)
+              r.S.segments)
+          tr.S.records;
+        if F.leq_approx !total tr.S.instance.S.T.procs then pairs rest
+        else Error "capacity exceeded between events"
+      | _ -> Ok ()
+    in
+    pairs boundaries
+
+  (* [check] once its per-task and volume checks pass is the capacity
+     verdict; compare the two on the trace and on doctored copies: one
+     task's segments shifted later by [shift] (overlapping the others),
+     and one segment split into two halves of its share over the same
+     interval (a task overlapping itself). *)
+  (* capacity verdicts that failed, doctored traces included *)
+  let exceeded = ref 0
+
+  let agree spec releases p =
+    let shift = F.of_q 3 8 in
+    let tr = S.run ~releases:(Array.map (fun (a, b) -> F.of_q a b) releases) (I.of_spec spec) p in
+    let verdict tr =
+      match S.check tr with
+      | Error "capacity exceeded between events" | Ok () ->
+        let want = capacity tr in
+        if want <> Ok () then incr exceeded;
+        (S.check tr, want)
+      | Error _ as e -> (e, e)
+    in
+    let doctor i f =
+      { tr with S.records = Array.mapi (fun j r -> if i = j then f r else r) tr.S.records }
+    in
+    let n = Array.length tr.S.records in
+    let shifted i =
+      doctor i (fun r ->
+          {
+            r with
+            S.segments = List.map (fun (a, b, s) -> (F.add a shift, F.add b shift, s)) r.S.segments;
+          })
+    in
+    let halved i =
+      doctor i (fun r ->
+          match r.S.segments with
+          | (a, b, s) :: rest ->
+            let h = F.div s (F.of_int 2) in
+            { r with S.segments = (a, b, h) :: (a, b, h) :: rest }
+          | [] -> r)
+    in
+    ( capacity tr = Ok (),
+      List.for_all
+        (fun tr ->
+          let got, want = verdict tr in
+          got = want)
+        (tr :: List.concat (List.init n (fun i -> [ shifted i; halved i ]))) )
+end
+
+module ScanF = Scan (Mwct_field.Field.Float_field)
+module ScanQ = Scan (Mwct_rational.Rational.Rat_field)
+
+(* The trace-pin sweep's traces (float, and exact every fifth seed),
+   each with its doctored copies. *)
+let test_check_sweep_matches_scan () =
+  let violations = ref 0 in
+  for seed = 0 to 49 do
+    let rng = Rng.create seed in
+    let draw lo hi = Rng.int_in rng lo hi in
+    List.iter
+      (fun family ->
+        let spec = Instances.sample draw family in
+        let n = Array.length spec.Mwct_core.Spec.tasks in
+        let releases =
+          if Rng.int rng 3 = 0 then Array.make n (0, 1)
+          else Array.init n (fun _ -> (Rng.dyadic rng ~den:16, 8))
+        in
+        if not (Mwct_core.Spec.has_deps spec) then
+          List.iter
+            (fun p ->
+              let where field =
+                Printf.sprintf "seed %d, %s, %s: %s verdicts differ" seed
+                  (Instances.family_name family) (Pol.name p) field
+              in
+              let valid, agree = ScanF.agree spec releases p in
+              if not agree then Alcotest.fail (where "float");
+              if not valid then incr violations;
+              if seed mod 5 = 0 then begin
+                let p = Option.get (ScanQ.S.P.of_name (Pol.name p)) in
+                if not (snd (ScanQ.agree spec releases p)) then Alcotest.fail (where "exact")
+              end)
+            Pol.all)
+      Instances.all_families
+  done;
+  Alcotest.(check int) "no capacity violation on undoctored traces" 0 !violations;
+  Alcotest.(check bool) "some doctored traces exceed capacity" true
+    (!ScanF.exceeded > 0 && !ScanQ.exceeded > 0)
+
 let () =
   let q tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests in
   Alcotest.run "ncv"
@@ -234,6 +360,8 @@ let () =
           Alcotest.test_case "arrival reshare" `Quick test_arrival_preempts_shares;
           Alcotest.test_case "exact engine" `Quick test_exact_simulator;
           Alcotest.test_case "trace pin" `Quick test_trace_pin;
+          Alcotest.test_case "bad releases refused" `Quick test_bad_releases;
+          Alcotest.test_case "capacity sweep = scan" `Quick test_check_sweep_matches_scan;
         ] );
       ( "properties",
         q

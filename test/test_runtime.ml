@@ -380,6 +380,31 @@ let test_bad_events () =
   | Error (HF.En.Invalid _) -> ()
   | _ -> Alcotest.fail "zero volume not rejected")
 
+(* At clock 1.5 * 2^60 a float step is 256 wide, so a task needing
+   less than half of that can never move the clock: its estimate
+   lands on [now]. It completes there, on the linear fast path and on
+   the curved generic path alike, instead of stalling the advance into
+   its no-progress error. *)
+let test_pinned_clock () =
+  List.iter
+    (fun speedup ->
+      let eng = HF.En.create ~capacity:4. ~policy:HF.wdeq_policy () in
+      let big = 0x1.8p+60 in
+      ignore (HF.ok (HF.En.apply eng (HF.En.Advance big)));
+      let submit id volume =
+        HF.En.Submit { id; volume; weight = 1.; cap = 2.; speedup; deps = [] }
+      in
+      ignore (HF.ok (HF.En.apply eng (submit 0 5.)));
+      ignore (HF.ok (HF.En.apply eng (submit 1 300.)));
+      let notes = HF.ok (HF.En.apply eng (HF.En.Advance 1.)) in
+      Alcotest.(check (list int)) "the short task completes" [ 0 ]
+        (List.map (fun (n : HF.En.notification) -> n.HF.En.id) notes);
+      Alcotest.(check (float 0.)) "at the current clock" big (List.hd notes).HF.En.at;
+      let notes = HF.ok (HF.En.apply eng HF.En.Drain) in
+      Alcotest.(check (list int)) "drain completes the rest" [ 1 ]
+        (List.map (fun (n : HF.En.notification) -> n.HF.En.id) notes))
+    [ None; Some ([| 1.; 2. |], [| 1.; 1.5 |]) ]
+
 (* ---------- non-finite input ---------- *)
 
 let test_of_repr_rejects_non_finite () =
@@ -611,5 +636,6 @@ let () =
             test_of_repr_rejects_non_finite;
           Alcotest.test_case "non-finite advance refused, state untouched" `Quick
             test_non_finite_advance;
+          Alcotest.test_case "estimate pinned to the clock completes" `Quick test_pinned_clock;
         ] );
     ]

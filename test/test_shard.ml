@@ -2,7 +2,8 @@
    modules: the replay oracles of Mwct_check.Shard_check on random
    tenant streams (both fields, both routings), the single-shard
    byte-identity shim, engine set_capacity/next_eta/Advance_to, the
-   Ingest chunked reader, and the metrics latency histogram. *)
+   allocator summaries' drift guard, the Ingest line reader, and the
+   metrics latency histogram. *)
 
 module Rng = Mwct_util.Rng
 
@@ -259,6 +260,28 @@ let test_starved_shard () =
   | None -> Alcotest.fail "task 1 not closed");
   Alcotest.(check int) "all completed" 2 (St.completed_count st)
 
+(* Allocator summaries on mixed-magnitude weights: 1e16 + 3 rounds to
+   1e16 + 4, so after task 0's cancel an incrementally kept sum reads 4
+   for shard 0's lone weight-3 task. The drift guard re-sums it, and
+   the two shards, each holding one task of weight 3 and cap 2, get
+   one processor each. *)
+let test_summary_drift () =
+  let st =
+    St.create ~nshards:2 ~route:St.Mod ~capacity:2. ~allocator:wdeq ~policy:wdeq
+      ~kinetic:(fun () -> P.engine_kinetic P.Wdeq)
+      ~policy_label:"wdeq" ()
+  in
+  let submit id volume weight =
+    St.En.Submit { id; volume; weight; cap = 2.; speedup = None; deps = [] }
+  in
+  List.iter
+    (fun ev ->
+      match St.apply st ev with Ok _ -> () | Error e -> Alcotest.fail (St.En.error_to_string e))
+    [ submit 0 1. 1e16; submit 2 100. 3.; submit 1 100. 3.; St.En.Cancel 0; St.En.Advance 1. ];
+  Array.iteri
+    (fun k e -> Alcotest.(check (float 0.)) (Printf.sprintf "shard %d budget" k) 1. (St.En.capacity e))
+    (St.engines st)
+
 (* Task 3 routes to its first parent's shard (task 1, shard 1 under
    mod-2 routing), which cannot see task 2 on shard 0: the refusal
    names both parents and both shards. An id no shard knows keeps the
@@ -335,5 +358,6 @@ let () =
         [
           Alcotest.test_case "idle shard rides ticks" `Quick test_starved_shard;
           Alcotest.test_case "parents on two shards" `Quick test_split_parents;
+          Alcotest.test_case "summaries re-sum after cancellation" `Quick test_summary_drift;
         ] );
     ]

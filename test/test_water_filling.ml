@@ -50,6 +50,30 @@ let test_wf_infeasible () =
   Alcotest.(check bool) "feasible predicate agrees" false
     (EF.Water_filling.feasible inst [| 1.; 2. |])
 
+(* Float WF after Greedy on P=4, tasks (V, d) = (1, 1), (1/2, 2),
+   (1, 3), (59/64, 3), (1, 1). Both orders give valid greedy schedules.
+   Pouring task 0 leaves a slope of float residue once its closing
+   events pass, and dividing the remaining volume by it put the level
+   (5) above P. The level is clamped to P, so the normal form stays
+   valid and no column holds more than 4 processors. *)
+let test_wf_level_within_procs () =
+  let inst =
+    Support.finst
+      (Support.uspec ~procs:4 [ ((1, 1), 1); ((1, 2), 2); ((1, 1), 3); ((59, 64), 3); ((1, 1), 1) ])
+  in
+  List.iter
+    (fun order ->
+      let name = String.concat ";" (List.map string_of_int (Array.to_list order)) in
+      let s = EF.Greedy.run inst order in
+      Alcotest.(check bool) (name ^ ": greedy valid") true (EF.Schedule.is_valid s);
+      let normal = EF.Water_filling.normalize s in
+      Alcotest.(check bool) (name ^ ": normal form valid") true (EF.Schedule.is_valid normal);
+      Array.iter
+        (fun h ->
+          if h > 4. then Alcotest.failf "%s: a column holds %h processors" name h)
+        (EF.Water_filling.column_heights normal))
+    [ [| 3; 1; 0; 4; 2 |]; [| 3; 1; 4; 0; 2 |] ]
+
 let test_wf_single_task_tight () =
   let inst = Support.finst (Support.uspec ~procs:4 [ ((8, 1), 2) ]) in
   (* Earliest possible completion: V/delta = 4. *)
@@ -250,6 +274,7 @@ let () =
           Alcotest.test_case "single tight" `Quick test_wf_single_task_tight;
           Alcotest.test_case "equal times" `Quick test_wf_equal_times;
           Alcotest.test_case "exact engine" `Quick test_wf_exact_engine;
+          Alcotest.test_case "level within P" `Quick test_wf_level_within_procs;
         ] );
       ( "properties",
         q
