@@ -33,12 +33,15 @@ module Rng = Mwct_util.Rng
 let exit_invalid = 1
 let exit_bad_input = 2
 
-let load_spec path =
-  match Spec_io.load path with
-  | Ok spec -> spec
-  | Error msg ->
-    Printf.eprintf "error: %s: %s\n" path msg;
-    exit exit_bad_input
+(* "error: MSG" on stderr, then exit 2 (bad input). *)
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit exit_bad_input)
+    fmt
+
+let load_spec path = match Spec_io.load path with Ok spec -> spec | Error msg -> fail "%s: %s" path msg
 
 (* ---------- solve ---------- *)
 
@@ -84,13 +87,7 @@ struct
 
   let run spec algo ~json =
     let inst = E.Instance.of_spec spec in
-    let solver =
-      match Dr.S.find algo with
-      | Some s -> s
-      | None ->
-        Printf.eprintf "error: unknown algorithm %S\n" algo;
-        exit exit_bad_input
-    in
+    let solver = match Dr.S.find algo with Some s -> s | None -> fail "unknown algorithm %S" algo in
     if not (Dr.supports solver inst) then begin
       let names_with cap =
         String.concat ", "
@@ -100,17 +97,16 @@ struct
              Solver.infos)
       in
       if E.Instance.has_deps inst && not (Solver.info_has_cap Solver.Dag solver.Dr.S.info) then
-        Printf.eprintf
-          "error: algorithm %S does not handle precedence; this instance has dependency edges \
-           (try one of: %s)\n"
+        fail
+          "algorithm %S does not handle precedence; this instance has dependency edges (try one \
+           of: %s)"
           algo (names_with Solver.Dag)
       else
-        Printf.eprintf
-          "error: algorithm %S supports only the linear rate model; this instance has speedup \
-           curves (try one of: %s)\n"
+        fail
+          "algorithm %S supports only the linear rate model; this instance has speedup curves \
+           (try one of: %s)"
           algo
-          (names_with Solver.General_speedup);
-      exit exit_bad_input
+          (names_with Solver.General_speedup)
     end;
     let r = Dr.run ~exact:D.exact_check solver inst in
     if json then print_string (Dr.to_json ~engine:D.engine r)
@@ -153,13 +149,7 @@ let solve_cmd =
       print_string (list_algos_string ());
       exit 0
     end;
-    let file =
-      match file with
-      | Some f -> f
-      | None ->
-        Printf.eprintf "error: FILE required (or --list-algos)\n";
-        exit exit_bad_input
-    in
+    let file = match file with Some f -> f | None -> fail "FILE required (or --list-algos)" in
     let spec = load_spec file in
     exit (if exact then Run_exact.run spec algo ~json else Run_float.run spec algo ~json)
   in
@@ -265,21 +255,16 @@ let render_cmd =
   let run file algo svg =
     let spec = load_spec file in
     let inst = E.Instance.of_spec spec in
-    if E.Instance.has_curves inst then begin
-      (* normalize/integerize assume rate = allocation; the Gantt wrap
-         is meaningless under a speedup curve *)
-      Printf.eprintf
-        "error: render requires the linear rate model (the WF normal form and the McNaughton \
-         wrap assume rate = allocation); this instance has speedup curves\n";
-      exit exit_bad_input
-    end;
+    (* normalize/integerize assume rate = allocation; the Gantt wrap
+       is meaningless under a speedup curve *)
+    if E.Instance.has_curves inst then
+      fail
+        "render requires the linear rate model (the WF normal form and the McNaughton wrap \
+         assume rate = allocation); this instance has speedup curves";
     (if E.Instance.has_deps inst then
        match Solver.find_info algo with
        | Some i when Solver.info_has_cap Solver.Dag i -> ()
-       | _ ->
-         Printf.eprintf
-           "error: this instance has dependency edges; render it with a dag-capable algorithm\n";
-         exit exit_bad_input);
+       | _ -> fail "this instance has dependency edges; render it with a dag-capable algorithm");
     let schedule = fst (Solver.Float.solve_exn algo inst) in
     (* The WF normal form rebuilds columns from completion times alone,
        which freely reorders work across columns — valid for bags,
@@ -325,28 +310,22 @@ let simulate_cmd =
   let run file policy releases =
     let spec = load_spec file in
     let inst = E.Instance.of_spec spec in
-    if E.Instance.has_deps inst then begin
-      Printf.eprintf
-        "error: %s: simulate runs independent tasks, and this instance has precedence edges \
-         (solve --algo wdeq-dag and serve model them)\n"
+    if E.Instance.has_deps inst then
+      fail
+        "%s: simulate runs independent tasks, and this instance has precedence edges (solve \
+         --algo wdeq-dag and serve model them)"
         file;
-      exit exit_bad_input
-    end;
     let n = Array.length inst.E.Types.tasks in
     let releases =
       match releases with
       | None -> Array.make n 0.
       | Some s -> (
         let parts = List.map float_of_string_opt (String.split_on_char ',' s) in
-        if List.exists Option.is_none parts || List.length parts <> n then begin
-          Printf.eprintf "error: --releases needs %d comma-separated numbers\n" n;
-          exit exit_bad_input
-        end;
+        if List.exists Option.is_none parts || List.length parts <> n then
+          fail "--releases needs %d comma-separated numbers" n;
         let releases = Array.of_list (List.map Option.get parts) in
         match Array.find_opt (fun r -> not (Float.is_finite r && r >= 0.)) releases with
-        | Some r ->
-          Printf.eprintf "error: --releases: %g is not a finite non-negative release date\n" r;
-          exit exit_bad_input
+        | Some r -> fail "--releases: %g is not a finite non-negative release date" r
         | None -> releases)
     in
     let tr = Sim.run ~releases inst policy in
@@ -423,41 +402,22 @@ module Serve_runner (F : Mwct_field.Field.S) = struct
 
   let run ~policy_name ~procs_str ~input ~record_path ~nshards ~tenant_key ~shard_cap_str ~latency :
       int =
-    let fail_input msg =
-      Printf.eprintf "error: %s\n" msg;
-      exit exit_bad_input
-    in
-    if nshards < 1 then fail_input (Printf.sprintf "bad --shards value %d (need >= 1)" nshards);
+    if nshards < 1 then fail "bad --shards value %d (need >= 1)" nshards;
     let route =
       match tenant_key with
       | "hash" -> S.St.Hash
       | "mod" -> S.St.Mod
-      | other -> fail_input (Printf.sprintf "bad --tenant-key value %S (hash or mod)" other)
+      | other -> fail "bad --tenant-key value %S (hash or mod)" other
     in
-    let shard_cap =
-      match shard_cap_str with
-      | None -> None
-      | Some s -> (
-        match F.of_repr s with
-        | Some c when F.sign c > 0 -> Some c
-        | _ -> fail_input (Printf.sprintf "bad --shard-cap value %S" s))
+    let positive what s =
+      match F.of_repr s with Some c when F.sign c > 0 -> c | _ -> fail "bad --%s value %S" what s
     in
-    let policy = match resolve policy_name with Ok p -> p | Error msg -> fail_input msg in
-    let capacity =
-      match F.of_repr procs_str with
-      | Some p when F.sign p > 0 -> p
-      | _ -> fail_input (Printf.sprintf "bad --procs value %S" procs_str)
-    in
-    let ic =
-      match input with
-      | None -> stdin
-      | Some f -> ( try open_in f with Sys_error msg -> fail_input msg)
-    in
-    let record_oc =
-      match record_path with
-      | None -> None
-      | Some p -> ( try Some (open_out p) with Sys_error msg -> fail_input msg)
-    in
+    let shard_cap = Option.map (positive "shard-cap") shard_cap_str in
+    let policy = match resolve policy_name with Ok p -> p | Error msg -> fail "%s" msg in
+    let capacity = positive "procs" procs_str in
+    let opening f path = try f path with Sys_error msg -> fail "%s" msg in
+    let ic = match input with None -> stdin | Some f -> opening open_in f in
+    let record_oc = Option.map (opening open_out) record_path in
     let line_sink oc line =
       output_string oc line;
       output_char oc '\n';
@@ -474,8 +434,7 @@ module Serve_runner (F : Mwct_field.Field.S) = struct
           (fun k line ->
             if Array.length !shard_ocs = 0 then
               shard_ocs :=
-                Array.init nshards (fun k ->
-                    try open_out (Printf.sprintf "%s.%d" p k) with Sys_error msg -> fail_input msg);
+                Array.init nshards (fun k -> opening open_out (Printf.sprintf "%s.%d" p k));
             line_sink !shard_ocs.(k) line)
       | _ -> None
     in
@@ -606,32 +565,23 @@ struct
 
   let run ~journal ~pattern_str ~seed ~tenants ~nevents ~procs_str ~base_policy ~fork_at
       ~branch_specs ~drain ~emit_stream ~json : int =
-    let fail_input msg =
-      Printf.eprintf "error: %s\n" msg;
-      exit exit_bad_input
-    in
     let capacity, policy_name, events =
       match journal with
       | Some path -> (
-        match B.load_stream path with
-        | Ok stream -> stream
-        | Error msg -> fail_input (Printf.sprintf "%s: %s" path msg))
+        match B.load_stream path with Ok stream -> stream | Error msg -> fail "%s: %s" path msg)
       | None ->
         let pattern =
           match L.pattern_of_string pattern_str with
           | Some p -> p
-          | None ->
-            fail_input
-              (Printf.sprintf "bad --loadgen pattern %S (burst, diurnal or adversarial)"
-                 pattern_str)
+          | None -> fail "bad --loadgen pattern %S (burst, diurnal or adversarial)" pattern_str
         in
         let capacity =
           match D.F.of_repr procs_str with
           | Some p when D.F.sign p > 0 -> p
-          | _ -> fail_input (Printf.sprintf "bad --procs value %S" procs_str)
+          | _ -> fail "bad --procs value %S" procs_str
         in
-        if tenants <= 0 then fail_input (Printf.sprintf "bad --tenants value %d" tenants);
-        if nevents < 0 then fail_input (Printf.sprintf "bad --events value %d" nevents);
+        if tenants <= 0 then fail "bad --tenants value %d" tenants;
+        if nevents < 0 then fail "bad --events value %d" nevents;
         (capacity, base_policy, L.generate ~pattern ~seed ~tenants ~events:nevents ())
     in
     if emit_stream then begin
@@ -646,11 +596,9 @@ struct
     end
     else begin
       let specs =
-        List.map
-          (fun s -> match B.parse_spec s with Ok sp -> sp | Error m -> fail_input m)
-          branch_specs
+        List.map (fun s -> match B.parse_spec s with Ok sp -> sp | Error m -> fail "%s" m) branch_specs
       in
-      (match resolve_policy policy_name with Ok _ -> () | Error m -> fail_input m);
+      (match resolve_policy policy_name with Ok _ -> () | Error m -> fail "%s" m);
       List.iter
         (fun (sp : B.spec) ->
           List.iter
@@ -658,7 +606,7 @@ struct
               | B.Set_policy p -> (
                 match resolve_policy p with
                 | Ok _ -> ()
-                | Error m -> fail_input (Printf.sprintf "branch %S: %s" sp.B.label m))
+                | Error m -> fail "branch %S: %s" sp.B.label m)
               | _ -> ())
             sp.B.mutations)
         specs;
@@ -671,7 +619,7 @@ struct
         B.run ~resolve ~kinetic_for ~tenants ~capacity ~policy:policy_name ~events ~fork_at
           ~branches:specs ()
       with
-      | Error msg -> fail_input msg
+      | Error msg -> fail "%s" msg
       | Ok report ->
         if json then List.iter print_endline (B.report_jsonl report)
         else begin
@@ -833,9 +781,7 @@ let parse_name_list ~what ~known = function
   | Some s -> (
     let names = String.split_on_char ',' s |> List.map String.trim |> List.filter (fun n -> n <> "") in
     match List.find_opt (fun n -> not (List.mem n known)) names with
-    | Some bad ->
-      Printf.eprintf "error: unknown %s %S; known: %s\n" what bad (String.concat ", " known);
-      exit exit_bad_input
+    | Some bad -> fail "unknown %s %S; known: %s" what bad (String.concat ", " known)
     | None -> if names = [] then None else Some names)
 
 let list_oracles_string () =
@@ -887,11 +833,7 @@ let fuzz_cmd =
       exit 0
     end;
     let budget =
-      match parse_budget budget with
-      | Some b when b > 0. -> b
-      | _ ->
-        Printf.eprintf "error: bad --budget value %S\n" budget;
-        exit exit_bad_input
+      match parse_budget budget with Some b when b > 0. -> b | _ -> fail "bad --budget value %S" budget
     in
     let cfg =
       {

@@ -175,6 +175,59 @@ let test_scale_tenant_range () =
   | Ok _ -> Alcotest.fail "one branch expected"
   | Error e -> Alcotest.fail e
 
+(* The baseline runs the whole stream once; a refused event after the
+   fork point is still named by its index in the full stream. *)
+let test_baseline_failure_index () =
+  let events = [ submit 0 1.0 1.0; En.Advance 0.5; En.Cancel 7; En.Drain ] in
+  match
+    B.run ~resolve ~kinetic_for ~capacity:1.0 ~policy:"wdeq" ~events ~fork_at:1
+      ~branches:[ { B.label = "idle"; mutations = [] } ]
+      ()
+  with
+  | Ok _ -> Alcotest.fail "a cancel of an unknown task must fail the baseline"
+  | Error e ->
+    Alcotest.(check bool) ("names event 2: " ^ e) true
+      (String.starts_with ~prefix:"baseline: event 2:" e)
+
+(* Journal input: [out] lines are dropped, and the lines a branch
+   cannot start from are refused with their seq. *)
+let test_load_stream () =
+  let init = {|{"seq":0,"type":"init","capacity_repr":"4","policy":"deq"}|} in
+  let submit = {|{"seq":1,"type":"submit","id":3,"volume_repr":"1","weight_repr":"1","cap_repr":"1"}|} in
+  let load lines =
+    let path = Filename.temp_file "mwct_whatif" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc ->
+            List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+        B.load_stream path)
+  in
+  let drain = {|{"seq":2,"type":"drain"}|} in
+  (match load [ init; submit; drain; {|{"seq":3,"type":"complete","id":3,"t_repr":"1"}|} ] with
+  | Ok (capacity, policy, events) ->
+    Alcotest.(check (float 0.)) "capacity" 4.0 capacity;
+    Alcotest.(check string) "policy" "deq" policy;
+    Alcotest.(check int) "input events only" 2 (List.length events)
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun (lines, want) ->
+      match load lines with
+      | Ok _ -> Alcotest.failf "accepted: %s" want
+      | Error e -> Alcotest.(check string) "refusal" want e)
+    [
+      ([ submit ], "journal must start with an init line");
+      ([ init; {|{"seq":1,"type":"init","capacity_repr":"4","policy":"deq"}|} ],
+        "seq 1: duplicate init line");
+      ( [ init; {|{"seq":1,"type":"budget","capacity_repr":"2"}|} ],
+        "seq 1: budget lines (sharded per-shard journals) are not supported; branch on the merged \
+         run or a single-engine journal" );
+      ( [ init; submit; {|{"seq":2,"type":"policy","policy":"wdeq"}|} ],
+        "seq 2: this journal already contains a policy switch (a branch journal); branch on the \
+         original straight-line journal" );
+      ([ init; {|{"seq":1,"type":"frob"}|} ], "line 2: unknown line type \"frob\"");
+    ]
+
 (* ---------- branch spec grammar ---------- *)
 
 let test_spec_grammar () =
@@ -308,6 +361,9 @@ let () =
           Alcotest.test_case "branch report" `Quick test_branch_report;
           Alcotest.test_case "scale tenant out of range refused" `Quick test_scale_tenant_range;
           Alcotest.test_case "spec grammar" `Quick test_spec_grammar;
+          Alcotest.test_case "baseline failure names the full-stream event" `Quick
+            test_baseline_failure_index;
+          Alcotest.test_case "journal input refusals" `Quick test_load_stream;
         ] );
       ( "loadgen",
         [
