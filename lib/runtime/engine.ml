@@ -791,18 +791,26 @@ module Make (F : Mwct_field.Field.S) = struct
       if F.sign s > 0 then f t.c_id.(slot) s
     done
 
+  (* Close the [ndone] slots listed in [scratch_done] at the current
+     clock; their notifications, in list order. *)
+  let close_done t ndone =
+    let completed = ref [] in
+    let at = t.now_cell.(0) in
+    for k = 0 to ndone - 1 do
+      let slot = t.scratch_done.(k) in
+      let id = t.c_id.(slot) in
+      if Hashtbl.mem t.slot_of_id id then begin
+        close t slot Completed;
+        completed := { id; at } :: !completed
+      end
+    done;
+    List.rev !completed
+
   (* Advance every positively-shared task to absolute time [t_next]
      (volume drains at the task's rate — the share itself under the
      linear law), then sweep the share list for completions
      ([leq_approx], matching the batch simulator's tolerance). Returns
-     the completions in share-list order.
-
-     A step that cannot move the clock ([t_next = now]) also completes
-     every task whose estimate lands on [now]: on float the clock's
-     resolution there is coarser than the remaining duration, so the
-     completion time rounds to [now], and no later step could move it
-     (such a task would otherwise stall the loop into its no-progress
-     error). Exact fields never meet this case. *)
+     the completions in share-list order. *)
   let advance_and_sweep t t_next =
     let nowv = t.now_cell.(0) in
     let dt = F.sub t_next nowv in
@@ -814,32 +822,37 @@ module Make (F : Mwct_field.Field.S) = struct
           t.c_remaining.(slot) <- F.sub_mul t.c_remaining.(slot) (slot_rate t slot s) dt
       done;
     t.now_cell.(0) <- t_next;
-    let pinned slot s =
-      F.sign dt = 0
-      &&
-      let r = slot_rate t slot s in
-      F.sign r > 0 && F.compare (F.add_div nowv t.c_remaining.(slot) r) nowv <= 0
-    in
     let ndone = ref 0 in
     for i = 0 to t.norder - 1 do
       let slot = t.order.(i) in
-      let s = t.c_share.(slot) in
-      if F.sign s > 0 && (F.leq_approx t.c_remaining.(slot) F.zero || pinned slot s) then begin
+      if F.sign t.c_share.(slot) > 0 && F.leq_approx t.c_remaining.(slot) F.zero then begin
         t.scratch_done.(!ndone) <- slot;
         incr ndone
       end
     done;
-    let completed = ref [] in
-    let at = t.now_cell.(0) in
-    for k = 0 to !ndone - 1 do
-      let slot = t.scratch_done.(k) in
-      let id = t.c_id.(slot) in
-      if Hashtbl.mem t.slot_of_id id then begin
-        close t slot Completed;
-        completed := { id; at } :: !completed
+    close_done t !ndone
+
+  (* After a step to the earliest estimate that completed nothing: every
+     task whose estimate [now + remaining/rate] equals [now] completes
+     now. On float the clock's resolution there is coarser than the
+     remaining duration, so the completion time rounds to [now], and no
+     later step could move it (the loop would otherwise stall into its
+     no-progress error). Exact fields never meet the case. *)
+  let complete_pinned t =
+    let nowv = t.now_cell.(0) in
+    let ndone = ref 0 in
+    for i = 0 to t.norder - 1 do
+      let slot = t.order.(i) in
+      let s = t.c_share.(slot) in
+      if F.sign s > 0 then begin
+        let r = slot_rate t slot s in
+        if F.sign r > 0 && F.compare (F.add_div nowv t.c_remaining.(slot) r) nowv <= 0 then begin
+          t.scratch_done.(!ndone) <- slot;
+          incr ndone
+        end
       end
     done;
-    List.rev !completed
+    close_done t !ndone
 
   (* Floating-point residue can leave [remaining] a few ulps above zero
      after advancing to a task's own estimate; the estimate then shrinks
@@ -869,7 +882,9 @@ module Make (F : Mwct_field.Field.S) = struct
         recompute_if_dirty t;
         match next_completion t with
         | Some eta when F.compare eta target <= 0 ->
-          let completed = advance_and_sweep t eta in
+          let completed =
+            match advance_and_sweep t eta with [] -> complete_pinned t | l -> l
+          in
           notes := List.rev_append completed !notes;
           if completed = [] then begin
             incr stall;
@@ -895,7 +910,7 @@ module Make (F : Mwct_field.Field.S) = struct
       match next_completion t with
       | None -> err := Some (Invalid "deadlock: alive tasks but no positive share")
       | Some eta ->
-        let completed = advance_and_sweep t eta in
+        let completed = match advance_and_sweep t eta with [] -> complete_pinned t | l -> l in
         notes := List.rev_append completed !notes;
         if completed = [] then begin
           incr stall;
@@ -979,15 +994,32 @@ module Make (F : Mwct_field.Field.S) = struct
           t.iscratch.(1) <- 0;
           for i = 0 to n - 1 do
             let slot = Array.unsafe_get order i in
-            let s = Array.unsafe_get share slot in
-            let rem = Array.unsafe_get remaining slot in
-            if s > 0. && (rem <= eps_zero || (dt = 0. && nowv +. (rem /. s) <= nowv)) then begin
+            if
+              Array.unsafe_get share slot > 0.
+              && Array.unsafe_get remaining slot <= eps_zero
+            then begin
               t.scratch_done.(t.iscratch.(1)) <- slot;
               t.iscratch.(1) <- t.iscratch.(1) + 1
             end
           done;
           (t.iscratch.(1) lsl 2) lor (if landed then 1 else 0)
         end
+      in
+      (* [complete_pinned]'s scan: the slots whose estimate equals the
+         clock, into [scratch_done]; returns their number. *)
+      let f_pinned (t : t) : int =
+        let order = t.order and share = t.c_share and remaining = t.c_remaining in
+        let nowv = t.now_cell.(0) in
+        t.iscratch.(1) <- 0;
+        for i = 0 to t.norder - 1 do
+          let slot = Array.unsafe_get order i in
+          let s = Array.unsafe_get share slot in
+          if s > 0. && nowv +. (Array.unsafe_get remaining slot /. s) <= nowv then begin
+            t.scratch_done.(t.iscratch.(1)) <- slot;
+            t.iscratch.(1) <- t.iscratch.(1) + 1
+          end
+        done;
+        t.iscratch.(1)
       in
       let finish acc : (notification list, error) result =
         match acc with [] -> Ok [] | l -> Ok (List.rev l)
@@ -1000,6 +1032,7 @@ module Make (F : Mwct_field.Field.S) = struct
           let code = r land 3 and ndone = r lsr 2 in
           if code = 2 then Error (Invalid "deadlock: alive tasks but no positive share")
           else begin
+            let ndone = if code = 0 && ndone = 0 then f_pinned t else ndone in
             let acc =
               if ndone = 0 then acc
               else begin
