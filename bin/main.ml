@@ -41,7 +41,8 @@ let fail fmt =
       exit exit_bad_input)
     fmt
 
-let load_spec path = match Spec_io.load path with Ok spec -> spec | Error msg -> fail "%s: %s" path msg
+let load_spec path =
+  match Spec_io.load path with Ok spec -> spec | Error msg -> fail "%s: %s" path msg
 
 (* ---------- solve ---------- *)
 
@@ -381,16 +382,11 @@ end
 
 (* ---------- serve ---------- *)
 
-(* Long-lived online front end: the loop itself (text grammar and
-   journal JSONL, auto-detected per line; decisions, errors and metrics
-   out as JSONL) is Mwct_runtime.Serve. This runner validates the
-   flags, opens the files and reads the lines. With --shards 1 (the
-   default) the store is a transparent shim over a single engine;
-   --shards N partitions tasks by --tenant-key across N engine shards
-   re-budgeted each tick by a cross-shard WDEQ allocator (DESIGN.md
-   §14). Deterministic output: wall-clock gauges are never printed
-   (--latency only feeds the metrics histogram), so the golden CLI
-   tests can diff it byte for byte. *)
+(* Long-lived online front end. The loop (text grammar and journal
+   JSONL in; decisions, errors and metrics out) is Mwct_runtime.Serve;
+   this runner validates the flags, opens the files and reads the
+   lines. Output is deterministic (--latency only feeds the metrics
+   histogram), so the golden CLI tests diff it byte for byte. *)
 module Serve_runner (F : Mwct_field.Field.S) = struct
   module S = Mwct_runtime.Serve.Make (F)
   module G = Gate (F)

@@ -210,13 +210,11 @@ module Make (F : Mwct_field.Field.S) = struct
             raise (Bad (Printf.sprintf "task %d: volume mismatch" i)))
         pv;
       (* Capacity between consecutive segment boundaries, where shares
-         are constant. A sweep over the sorted boundaries keeps the set
-         of segments covering the current interval (start <= a < end,
-         every segment being non-empty by now) and sums each interval
-         afresh in task order, then segment order: the order of a scan
-         of every segment per interval, so each verdict is
-         bit-identical to one. A running total would drift by about
-         the [leq_approx] tolerance on full intervals. *)
+         are constant: a sweep keeps the segments covering the current
+         interval (start <= a < end; none is empty by now) and sums each
+         interval afresh in task, then segment order, so every verdict
+         is bit-identical to a scan of all segments per interval. A
+         running total would drift by about the [leq_approx] tolerance. *)
       let segs =
         Array.of_list (List.concat_map (fun (r : record) -> r.segments) (Array.to_list tr.records))
       in

@@ -1,42 +1,28 @@
 (** The serve loop (DESIGN.md §10.4): one input line in, zero or more
     JSONL lines out, over a sharded store ({!Shard.Make}).
 
-    A line is a journal JSONL line when its first non-blank byte is
-    ['{'], and a text-grammar command otherwise (one per line; ['#']
-    starts a comment; tokens are separated by spaces):
-
+    A line whose first non-blank byte is ['{'] is a journal line
+    ({!Journal.Make.of_line}): [init] creates the store, [in] lines
+    apply, and [out], [budget] and [policy] lines are skipped, since
+    this run recomputes its own decisions. Any other line is a text
+    command, tokens separated by spaces, ['#'] starting a comment:
     {v
       submit ID VOLUME WEIGHT CAP [X:Y ...] [deps:J,K,...]
-      cancel ID
-      advance DT
-      drain
-      metrics
-      quit   (or exit)
+      cancel ID | advance DT | drain | metrics | quit (or exit)
     v}
+    Numbers are {!Mwct_field.Field.S.of_repr} literals ([p/q] works on
+    both fields); [X:Y] breakpoints select a concave speedup law, and
+    [deps:] lists the precedence parents a task waits for.
 
-    Trailing [X:Y] breakpoints select a concave speedup law (none means
-    linear: rate = share); a [deps:] token lists precedence parents,
-    and the task stays dormant until each of them completes. Numbers
-    are {!Mwct_field.Field.S.of_repr} literals, so [p/q] works on both
-    fields. JSONL lines are {!Journal.Make.of_line}'s: [init] creates
-    the store, [in] lines are applied, and [out], [budget] and [policy]
-    lines are skipped, since this run recomputes its own decisions
-    ({!Journal.Make.replay} is the strict verifier).
-
-    The store is created on first use: by an [init] line, or with the
-    default capacity and policy by the first event, the first
-    [metrics] probe or {!finish}. Decision lines reach [out] through
-    the store's decision sink, metrics lines directly. Every refusal (a
-    malformed line, an engine error, a late or invalid [init]) is one
+    The store is created by an [init] line, or with the defaults by the
+    first event, [metrics] probe or {!finish}. Every refusal is one
     [{"type":"error","msg":...}] line on [out]; a refused submit,
-    cancel or malformed line leaves the store as it was.
-
-    The runtime stays below the policy layer: [resolve] is the caller's
-    registry gate, turning a policy name into its share rule and
-    kinetic factory or into the refusal message, and [allocator] splits
-    capacity across shards. [clock], when given, times each
-    {!Shard.Make.apply} into the store's latency histogram; output
-    never depends on it. *)
+    cancel or malformed line leaves the store as it was. [resolve] (the
+    caller's registry gate: a policy name to its share rule and kinetic
+    factory, or the refusal message) and [allocator] keep the runtime
+    below the policy layer. [clock], when given, times each
+    {!Shard.Make.apply} into the latency histogram; output never
+    depends on it. *)
 
 module Make (F : Mwct_field.Field.S) = struct
   module St = Shard.Make (F)
