@@ -18,9 +18,10 @@
    simulate wall time at n=5000, serve event throughput, and minor
    words allocated per steady-state Advance (BENCH_4.json).
 
-   Part 5 prices the generalized rate model: batch WDEQ on the same
-   linear workload through the float fast path and through the generic
-   concave path (identity speedup curves), BENCH_5.json.
+   Part 5 prices the generalized rate model: the registry's batch WDEQ
+   on the same linear workload through the engine drain (linear law)
+   and through the generic batch loop (identity speedup curves),
+   BENCH_5.json.
 
    `--quick` is the CI smoke mode: experiments are skipped, the
    bechamel quota is cut, and the throughput run is shortened — every
@@ -534,7 +535,7 @@ let advance_minor_words () =
   let w1 = Gc.minor_words () in
   (w1 -. w0 -. (b1 -. b0)) /. float_of_int iters
 
-let run_data_plane ~events_per_sec ~nshards ~sharded_eps ~scaling ~lat ~ingest =
+let run_data_plane ~events_per_sec ~nshards ~sharded_eps ~scaling ~lat =
   (* The "before" column is the pre-data-plane baseline: B14b from the
      PR-3 CI run of BENCH_1.json (4.66 s), the PR-4 CI run of
      BENCH_3.json (12.7k events/s), and minor words per input event
@@ -558,7 +559,6 @@ let run_data_plane ~events_per_sec ~nshards ~sharded_eps ~scaling ~lat ~ingest =
          scaling)
   in
   let p50, p90, p99, p999 = lat in
-  let ingest_before, ingest_after = ingest in
   let oc = open_out "BENCH_4.json" in
   Printf.fprintf oc
     "{\n\
@@ -573,9 +573,7 @@ let run_data_plane ~events_per_sec ~nshards ~sharded_eps ~scaling ~lat ~ingest =
     \  \"sharded_serve\": { \"shards\": %d, \"events_per_sec\": %.1f,\n\
     \                     \"target_events_per_sec\": 100000.0, \"pass\": %b },\n\
     \  \"shard_scaling\": [\n%s\n  ],\n\
-    \  \"event_latency_us\": { \"shards\": %d, \"p50\": %.1f, \"p90\": %.1f, \"p99\": %.1f, \"p999\": %.1f },\n\
-    \  \"stdin_ingest\": { \"input_line_lines_per_sec\": %.1f, \"chunked_lines_per_sec\": %.1f,\n\
-    \                    \"speedup\": %.3f }\n\
+    \  \"event_latency_us\": { \"shards\": %d, \"p50\": %.1f, \"p90\": %.1f, \"p99\": %.1f, \"p999\": %.1f }\n\
      }\n"
     sim_before sim_wall sim_cpu
     (sim_cpu < 1.0)
@@ -584,15 +582,13 @@ let run_data_plane ~events_per_sec ~nshards ~sharded_eps ~scaling ~lat ~ingest =
     words_before words (words < 1.0)
     nshards sharded_eps
     (sharded_eps >= 100000.0)
-    scaling_json nshards p50 p90 p99 p999 ingest_before ingest_after
-    (ingest_after /. ingest_before);
+    scaling_json nshards p50 p90 p99 p999;
   close_out oc;
   Printf.printf "\nWrote data-plane results to BENCH_4.json\n"
 
 (* ---------- part 6: sharded serve (rows into BENCH_4.json) ---------- *)
 
 module StF = Mwct_runtime.Shard.Float
-module Ingest = Mwct_runtime.Ingest
 
 (* The part-3 churn stream through the sharded store: same seed, same
    submit distribution, same cancel-4-oldest/refill/advance round, so
@@ -706,69 +702,15 @@ let run_sharded ~quick ~nshards =
     nshards p50 p90 p99 p999;
   (sharded_eps, scaling, lat)
 
-(* Stdin ingestion: lines/s of the seed's per-line [input_line] loop vs
-   the 64 KiB chunked reader serve now uses, over the same temp file of
-   serve-sized JSONL lines. *)
-let run_ingest ~quick =
-  let lines = if quick then 100_000 else 1_000_000 in
-  let path = Filename.temp_file "mwct_bench_ingest" ".jsonl" in
-  let oc = open_out path in
-  for i = 0 to lines - 1 do
-    Printf.fprintf oc
-      "{\"event\":\"submit\",\"id\":%d,\"volume\":%d.5,\"weight\":%d,\"cap\":%d}\n" i
-      (1 + (i mod 7)) (1 + (i mod 10)) (1 + (i mod 4))
-  done;
-  close_out oc;
-  let time_lines read =
-    let ic = open_in path in
-    let t0 = Unix.gettimeofday () in
-    let n = read ic in
-    let dt = Unix.gettimeofday () -. t0 in
-    close_in ic;
-    assert (n = lines);
-    float_of_int n /. dt
-  in
-  let before_lps =
-    time_lines (fun ic ->
-        let n = ref 0 in
-        (try
-           while true do
-             ignore (Sys.opaque_identity (input_line ic));
-             incr n
-           done
-         with End_of_file -> ());
-        !n)
-  in
-  let after_lps =
-    time_lines (fun ic ->
-        let r = Ingest.create ic in
-        let n = ref 0 in
-        let rec go () =
-          match Ingest.next_line r with
-          | Some l ->
-            ignore (Sys.opaque_identity l);
-            incr n;
-            go ()
-          | None -> ()
-        in
-        go ();
-        !n)
-  in
-  Sys.remove path;
-  Printf.printf "  stdin ingestion over %d lines: input_line %.0f lines/s, chunked %.0f lines/s (x%.2f)\n"
-    lines before_lps after_lps (after_lps /. before_lps);
-  (before_lps, after_lps)
-
 (* ---------- part 5: generalized rate model (BENCH_5.json) ---------- *)
 
-(* The same linear workload twice through batch WDEQ: once as plain
-   linear tasks (dispatching to the monomorphic float kernel) and once
-   with every task wearing the identity speedup curve s(a) = a as a
-   single breakpoint (delta, delta) — the same rate law semantically,
-   but [has_curves] routes it through the generic concave reference
-   path. The ratio prices the generality seam, and the fast-path row
-   doubles as a regression guard: the pre-refactor kernel numbers must
-   survive the rate-model generalization. *)
+(* The same linear workload twice through the registry's batch WDEQ:
+   once as plain linear tasks (the online engine's float drain) and
+   once with every task wearing the identity speedup curve s(a) = a as
+   a single breakpoint (delta, delta) — the same rate law semantically,
+   but [has_curves] routes it through the generic batch loop. The
+   ratio prices the generality seam, and the fast-path row doubles as
+   a regression guard on the production linear path. *)
 let identity_curved (inst : EF.Types.instance) : EF.Types.instance =
   {
     inst with
@@ -798,8 +740,8 @@ let run_speedup_bench ~quick =
     done;
     !best
   in
-  let fast_s = time (fun () -> EF.Wdeq.wdeq inst) in
-  let generic_s = time (fun () -> EF.Wdeq.wdeq curved) in
+  let fast_s = time (fun () -> SF.solve_exn "wdeq" inst) in
+  let generic_s = time (fun () -> SF.solve_exn "wdeq" curved) in
   let ratio = if fast_s > 0. then generic_s /. fast_s else nan in
   print_endline "================================================================";
   print_endline " Generalized rate model: generic concave path vs fast path (BENCH_5.json)";
@@ -912,8 +854,8 @@ let run_dag_bench ~quick =
     done;
     !best
   in
-  let bag_s = time (fun () -> EF.Wdeq.wdeq bag) in
-  let dag_s = time (fun () -> EF.Wdeq.wdeq dag) in
+  let bag_s = time (fun () -> SF.solve_exn "wdeq" bag) in
+  let dag_s = time (fun () -> SF.solve_exn "wdeq-dag" dag) in
   let ratio = if bag_s > 0. then dag_s /. bag_s else nan in
   print_endline "================================================================";
   print_endline " Precedence subsystem: layered DAG churn and frontier policy (BENCH_6.json)";
@@ -1075,8 +1017,7 @@ let () =
   emit_json "BENCH_2.json" registry_rows;
   let events_per_sec = run_throughput ~quick in
   let sharded_eps, scaling, lat = run_sharded ~quick ~nshards in
-  let ingest = run_ingest ~quick in
-  run_data_plane ~events_per_sec ~nshards ~sharded_eps ~scaling ~lat ~ingest;
+  run_data_plane ~events_per_sec ~nshards ~sharded_eps ~scaling ~lat;
   run_speedup_bench ~quick;
   run_dag_bench ~quick;
   let fork_micros = run_whatif_bench ~quick in

@@ -396,8 +396,7 @@ module Serve_runner (F : Mwct_field.Field.S) = struct
       (fun p -> { S.share = G.P.engine_policy p; kinetic = (fun () -> G.P.engine_kinetic p) })
       (G.resolve name)
 
-  let run ~policy_name ~procs_str ~input ~record_path ~nshards ~tenant_key ~shard_cap_str ~latency :
-      int =
+  let run ~policy_name ~procs_str ~input ~record_path ~nshards ~tenant_key ~latency : int =
     if nshards < 1 then fail "bad --shards value %d (need >= 1)" nshards;
     let route =
       match tenant_key with
@@ -408,7 +407,6 @@ module Serve_runner (F : Mwct_field.Field.S) = struct
     let positive what s =
       match F.of_repr s with Some c when F.sign c > 0 -> c | _ -> fail "bad --%s value %S" what s
     in
-    let shard_cap = Option.map (positive "shard-cap") shard_cap_str in
     let policy = match resolve policy_name with Ok p -> p | Error msg -> fail "%s" msg in
     let capacity = positive "procs" procs_str in
     let opening f path = try f path with Sys_error msg -> fail "%s" msg in
@@ -440,7 +438,7 @@ module Serve_runner (F : Mwct_field.Field.S) = struct
         ?clock:(if latency then Some Unix.gettimeofday else None)
         ~out:print_endline
         ?merged_sink:(Option.map line_sink record_oc)
-        ?shard_sink ?shard_cap ~nshards ~route ~capacity ~policy_label:policy_name ~policy ()
+        ?shard_sink ~nshards ~route ~capacity ~policy_label:policy_name ~policy ()
     in
     let rec loop () =
       match In_channel.input_line ic with
@@ -500,11 +498,6 @@ let serve_cmd =
                "Shard routing: $(b,hash) (splitmix64 of the task id — spreads clustered tenant \
                 ids) or $(b,mod) (id mod N).")
   in
-  let shard_cap =
-    Arg.(value & opt (some string) None
-         & info [ "shard-cap" ] ~docv:"C"
-             ~doc:"Per-shard budget ceiling (default: the full --procs capacity).")
-  in
   let latency =
     Arg.(value & flag
          & info [ "latency" ]
@@ -512,15 +505,14 @@ let serve_cmd =
                "Record per-event service latency into the metrics histogram (lat_p50_us..p999). \
                 Only the histogram is affected; decision output stays deterministic.")
   in
-  let run policy procs exact journal record (_no_segments : bool) shards tenant_key shard_cap
-      latency =
+  let run policy procs exact journal record (_no_segments : bool) shards tenant_key latency =
     exit
       (if exact then
          Serve_exact.run ~policy_name:policy ~procs_str:procs ~input:journal ~record_path:record
-           ~nshards:shards ~tenant_key ~shard_cap_str:shard_cap ~latency
+           ~nshards:shards ~tenant_key ~latency
        else
          Serve_float.run ~policy_name:policy ~procs_str:procs ~input:journal ~record_path:record
-           ~nshards:shards ~tenant_key ~shard_cap_str:shard_cap ~latency)
+           ~nshards:shards ~tenant_key ~latency)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -530,7 +522,7 @@ let serve_cmd =
           journals PATH.N when sharded).")
     Term.(
       const run $ policy $ procs $ exact $ journal $ record $ no_segments $ shards $ tenant_key
-      $ shard_cap $ latency)
+      $ latency)
 
 (* ---------- whatif ---------- *)
 

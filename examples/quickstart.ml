@@ -37,11 +37,11 @@ let () =
   in
 
   (* Non-clairvoyant: WDEQ (the paper's 2-approximation). *)
-  let wdeq, _ = E.Wdeq.wdeq inst in
+  let wdeq = E.Wdeq.wdeq inst in
   row "WDEQ (non-clairvoyant)" wdeq;
 
   (* DEQ ignores weights. *)
-  let deq, _ = E.Wdeq.deq inst in
+  let deq = E.Wdeq.deq inst in
   row "DEQ (unweighted shares)" deq;
 
   (* Clairvoyant greedy with Smith's order. *)

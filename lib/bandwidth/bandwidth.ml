@@ -101,7 +101,7 @@ module Make (F : Mwct_field.Field.S) = struct
       let sigma = E.Orderings.smith inst in
       E.Schedule.completion_times (E.Greedy.run inst sigma)
     | Wdeq ->
-      let s, _ = E.Wdeq.wdeq inst in
+      let s = E.Wdeq.wdeq inst in
       E.Schedule.completion_times s
 
   (** Throughput of a policy on a scenario. *)

@@ -323,9 +323,9 @@ struct
           end);
     }
 
-  (* Theorem 4 via Lemma 2: WDEQ's own volume split certifies the
-     2-approximation — TC <= 2(A(I[VFbar]) + H(I[VF])), and the split
-     partitions each volume. *)
+  (* Theorem 4 via Lemma 2: the volume split of WDEQ's schedule
+     certifies the 2-approximation — TC <= 2(A(I[VFbar]) + H(I[VF])),
+     and the split partitions each volume. *)
   let thm4 =
     { info = thm4_info;
       check =
@@ -333,35 +333,33 @@ struct
           if name_of sv <> "wdeq" then Skip "WDEQ-only oracle"
           else if curved sv then curved_skip
           else begin
-            match sv.meta.S.wdeq_diagnostics with
-            | None -> Skip "solver reported no WDEQ diagnostics"
-            | Some d ->
-              let bad = ref None in
-              Array.iteri
-                (fun i (t : E.Types.task) ->
-                  let s = F.add d.E.Wdeq.full_volume.(i) d.E.Wdeq.limited_volume.(i) in
-                  if !bad = None && not (eq s t.E.Types.volume) then
-                    bad :=
-                      Some
-                        (Fail
-                           { witness = Printf.sprintf "task %d: VF + VFbar <> V" i;
-                             slack = diff s t.E.Types.volume;
-                           }))
-                sv.inst.E.Types.tasks;
-              match !bad with
-              | Some f -> f
-              | None ->
-                let obj = E.Schedule.weighted_completion_time sv.schedule in
-                let a =
-                  E.Lower_bounds.squashed_area
-                    (E.Instance.sub_instance sv.inst d.E.Wdeq.limited_volume)
-                in
-                let h =
-                  E.Lower_bounds.height_bound (E.Instance.sub_instance sv.inst d.E.Wdeq.full_volume)
-                in
-                let bound = F.mul (F.of_int 2) (F.add a h) in
-                if leq obj bound then Pass
-                else Fail { witness = "objective above the Lemma 2 bound"; slack = diff obj bound }
+            let d = E.Wdeq.split sv.schedule in
+            let bad = ref None in
+            Array.iteri
+              (fun i (t : E.Types.task) ->
+                let s = F.add d.E.Wdeq.full_volume.(i) d.E.Wdeq.limited_volume.(i) in
+                if !bad = None && not (eq s t.E.Types.volume) then
+                  bad :=
+                    Some
+                      (Fail
+                         { witness = Printf.sprintf "task %d: VF + VFbar <> V" i;
+                           slack = diff s t.E.Types.volume;
+                         }))
+              sv.inst.E.Types.tasks;
+            match !bad with
+            | Some f -> f
+            | None ->
+              let obj = E.Schedule.weighted_completion_time sv.schedule in
+              let a =
+                E.Lower_bounds.squashed_area
+                  (E.Instance.sub_instance sv.inst d.E.Wdeq.limited_volume)
+              in
+              let h =
+                E.Lower_bounds.height_bound (E.Instance.sub_instance sv.inst d.E.Wdeq.full_volume)
+              in
+              let bound = F.mul (F.of_int 2) (F.add a h) in
+              if leq obj bound then Pass
+              else Fail { witness = "objective above the Lemma 2 bound"; slack = diff obj bound }
           end);
     }
 
@@ -470,24 +468,24 @@ struct
     }
 
   (* DESIGN §15: on an edge-free instance the frontier policies must be
-     bit-identical to the independent-bag WDEQ/DEQ (both run
-     Wdeq.simulate, which takes the bag path without edges, so equality
-     is exact — no tolerance). *)
+     bit-identical to the registry's independent-bag WDEQ/DEQ (the same
+     engine drain, with no task ever dormant, so equality is exact — no
+     tolerance). *)
   let dag_zero_edge =
     { info = dag_zero_edge_info;
       check =
         (fun sv ->
           let reference =
             match name_of sv with
-            | "wdeq-dag" -> Some E.Wdeq.wdeq
-            | "deq-dag" -> Some E.Wdeq.deq
+            | "wdeq-dag" -> Some "wdeq"
+            | "deq-dag" -> Some "deq"
             | _ -> None
           in
           match reference with
           | None -> Skip "frontier-policy-only oracle"
           | Some _ when dag sv -> Skip "edge-free comparison (instance has dependency edges)"
           | Some reference ->
-            let want, _ = reference sv.inst in
+            let want, _ = S.solve_exn reference sv.inst in
             let got = sv.schedule in
             if got.E.Types.order <> want.E.Types.order then
               Fail { witness = "completion order differs from the independent-bag path"; slack = "-" }

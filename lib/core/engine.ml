@@ -12,7 +12,7 @@
     {[
       module E = Mwct_core.Engine.Float
       let inst = E.Instance.of_spec spec
-      let schedule, _ = E.Wdeq.wdeq inst
+      let schedule = E.Wdeq.wdeq inst
       let obj = E.Schedule.weighted_completion_time schedule
     ]} *)
 

@@ -314,42 +314,6 @@ module Make (F : Mwct_field.Field.S) = struct
       (Definition 6; [V_i / min(δ_i, P)] under the linear law). *)
   let height (i : instance) k = F.div i.tasks.(k).volume (max_rate i k)
 
-  (** Per-task gated work: [Σ w_j · h_j] over the strict transitive
-      descendants [j] of each task — the weighted, speedup-curve-aware
-      work ({!height}, so curves and capacity clamps price in) that a
-      task's completion unlocks. This is the static term of the
-      remaining-work transitive weighting in {!Wdeq.Make.simulate}:
-      descendants of a ready task cannot start before it completes, so
-      their heights never drain while the term is in use. Unit [w_j]
-      with [~use_weights:false], so the unweighted variant ranks by
-      remaining descendant work rather than raw descendant counts.
-      O(n·E) via one ancestor walk per task; dependency graphs are
-      sparse. *)
-  let gated_work ?(use_weights = true) (i : instance) : num array =
-    let n = num_tasks i in
-    let gw = Array.make n F.zero in
-    let mark = Array.make n false in
-    for j = 0 to n - 1 do
-      if i.tasks.(j).deps <> [||] then begin
-        Array.fill mark 0 n false;
-        let rec up k =
-          Array.iter
-            (fun p ->
-              if not mark.(p) then begin
-                mark.(p) <- true;
-                up p
-              end)
-            i.tasks.(k).deps
-        in
-        up j;
-        let wh = if use_weights then F.mul i.tasks.(j).weight (height i j) else height i j in
-        for p = 0 to n - 1 do
-          if mark.(p) then gw.(p) <- F.add gw.(p) wh
-        done
-      end
-    done;
-    gw
-
   (** Smith ratio [V_i / w_i]; the squashed-area bound sorts by it. *)
   let smith_ratio (i : instance) k = F.div i.tasks.(k).volume i.tasks.(k).weight
 

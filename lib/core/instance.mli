@@ -84,12 +84,6 @@ module Make (F : Mwct_field.Field.S) : sig
       [V_k / min(δ_k, P)] under the linear law). *)
   val height : Types.Make(F).instance -> int -> F.t
 
-  (** Per-task gated work: [Σ w_j · h_j] over each task's strict
-      transitive descendants ([h_j] from {!height}, so speedup-curve-
-      aware); unit [w_j] with [~use_weights:false]. The static term of
-      the remaining-work transitive weighting in {!Wdeq.Make.simulate}. *)
-  val gated_work : ?use_weights:bool -> Types.Make(F).instance -> F.t array
-
   (** Smith ratio [V_k / w_k]. *)
   val smith_ratio : Types.Make(F).instance -> int -> F.t
 

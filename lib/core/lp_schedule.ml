@@ -96,7 +96,11 @@ module Make (F : Mwct_field.Field.S) = struct
       Some (objective, { instance = inst; order = Array.copy pi; finish; columns })
 
   (** Exact global optimum by enumerating all completion orders.
-      Exponential: guarded to [n <= max_tasks] (default 8). *)
+      Exponential: guarded to [n <= max_tasks] (default 8). The first
+      order in enumeration order wins unless a later one is smaller
+      beyond the field's tolerance ([leq_approx]; [<=] on exact
+      fields): when two orders tie exactly, float rounding below that
+      absolute tolerance keeps the order the exact field keeps. *)
   let optimal ?(max_tasks = 8) (inst : instance) : F.t * column_schedule =
     let n = I.num_tasks inst in
     if n = 0 then invalid_arg "Lp_schedule.optimal: empty instance";
@@ -109,7 +113,7 @@ module Make (F : Mwct_field.Field.S) = struct
           | None -> best
           | Some (obj, sched) -> (
             match best with
-            | Some (b, _) when F.compare b obj <= 0 -> best
+            | Some (b, _) when F.leq_approx b obj -> best
             | _ -> Some (obj, sched)))
         None
     in
@@ -118,7 +122,8 @@ module Make (F : Mwct_field.Field.S) = struct
     | None -> invalid_arg "Lp_schedule.optimal: no feasible order (invalid instance?)"
 
   (** Best greedy schedule over all insertion orders (the quantity the
-      Section V-A experiment compares against the optimum). *)
+      Section V-A experiment compares against the optimum); ties are
+      kept as in {!optimal}. *)
   let best_greedy ?(max_tasks = 8) (inst : instance) : F.t * int array =
     let module G = Greedy.Make (F) in
     let n = I.num_tasks inst in
@@ -129,7 +134,7 @@ module Make (F : Mwct_field.Field.S) = struct
         (fun best sigma ->
           let obj = G.objective inst sigma in
           match best with
-          | Some (b, _) when F.compare b obj <= 0 -> best
+          | Some (b, _) when F.leq_approx b obj -> best
           | _ -> Some (obj, Array.copy sigma))
         None
     in

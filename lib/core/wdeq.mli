@@ -10,10 +10,10 @@
     [Mwct_ncv.Policy] all call it. *)
 
 module Make (F : Mwct_field.Field.S) : sig
-  (** Per-run diagnostics for the Lemma 2 bound: volume processed at
-      full allocation ([full_volume], the paper's [VF]) and volume
-      processed while limited by equipartition ([limited_volume],
-      [VF̄]); the two sum to [V_i]. *)
+  (** The Lemma 2 volume split: volume processed at full allocation
+      ([full_volume], the paper's [VF]) and volume processed while
+      limited by equipartition ([limited_volume], [VF̄]); the two sum
+      to [V_i]. Read off a schedule by {!split}. *)
   type diagnostics = { full_volume : F.t array; limited_volume : F.t array }
 
   (** The clipping frontier of Algorithm 1 over one pool.
@@ -48,35 +48,25 @@ module Make (F : Mwct_field.Field.S) : sig
       order may differ). *)
   val shares_reference : p:F.t -> (int * F.t * F.t) list -> (int * F.t) list
 
-  (** Simulate a dynamic-equipartition run to completion.
-      [~use_weights:false] gives DEQ (the unweighted policy of Deng et
-      al.). With dependency edges the pool at each event is the ready
-      frontier (alive tasks whose parents have all completed), and
-      [~transitive:true] shares it by remaining gated work: own weight
-      times remaining height plus [Σ w_j·h_j] over the transitive
-      descendants ({!Instance.Make.gated_work}); it is ignored without
-      edges. On the float field a linear bag dispatches (via the field
-      witness) to a monomorphic kernel, bit-identical to
-      {!simulate_reference}. *)
-  val simulate :
-    ?use_weights:bool ->
-    ?transitive:bool ->
-    Types.Make(F).instance ->
-    Types.Make(F).column_schedule * diagnostics
+  (** Simulate a dynamic-equipartition run to completion with the
+      field-generic loop. [~use_weights:false] gives DEQ (the
+      unweighted policy of Deng et al.). With dependency edges the pool
+      at each event is the ready frontier (alive tasks whose parents
+      have all completed). The solver registry runs curve-free
+      instances on the online engine; this loop runs curved ones and
+      is the oracle the engine drain is tested against. *)
+  val simulate_reference : ?use_weights:bool -> Types.Make(F).instance -> Types.Make(F).column_schedule
 
-  (** The field-generic simulation loop, the float kernel's semantic
-      source of truth — exposed so differential tests can pin the two
-      bit-for-bit. Same arguments as {!simulate}. *)
-  val simulate_reference :
-    ?use_weights:bool ->
-    ?transitive:bool ->
-    Types.Make(F).instance ->
-    Types.Make(F).column_schedule * diagnostics
+  (** Lemma 2's split of a schedule of the instance it carries: a
+      column entry whose share equals the task's effective cap (up to
+      the field's tolerance) is full volume, any other is limited; its
+      volume is the task's rate at the share times the column length. *)
+  val split : Types.Make(F).column_schedule -> diagnostics
 
   (** WDEQ (weighted shares); frontier-WDEQ on a DAG. *)
-  val wdeq : Types.Make(F).instance -> Types.Make(F).column_schedule * diagnostics
+  val wdeq : Types.Make(F).instance -> Types.Make(F).column_schedule
 
   (** DEQ: unweighted shares (frontier-DEQ on a DAG); the objective can
       still be evaluated with the instance's weights. *)
-  val deq : Types.Make(F).instance -> Types.Make(F).column_schedule * diagnostics
+  val deq : Types.Make(F).instance -> Types.Make(F).column_schedule
 end

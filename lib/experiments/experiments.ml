@@ -377,8 +377,8 @@ let wdeq_ratio scale =
       for _ = 1 to count do
         let spec = G.uniform (Rng.split rng) ~procs:8 ~n () in
         let inst = EF.Instance.of_spec spec in
-        let s, meta = SF.solve_exn "wdeq" inst in
-        let d = Option.get meta.SF.wdeq_diagnostics in
+        let s, _ = SF.solve_exn "wdeq" inst in
+        let d = EF.Wdeq.split s in
         let bound =
           2.
           *. (EF.Lower_bounds.squashed_area (EF.Instance.sub_instance inst d.EF.Wdeq.limited_volume)

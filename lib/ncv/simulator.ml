@@ -11,7 +11,7 @@
     [run] drives the incremental {!Mwct_runtime.Engine} from event to
     event: to the next completion estimate, or to the next release if
     that comes first. Before each step it reads the running shares
-    ({!Mwct_runtime.Engine.Make.iter_running}) and files them as the
+    ({!Mwct_runtime.Engine.Make.running}) and files them as the
     step's rate segments; the engine itself keeps no history. The
     engine reproduces this module's historical event-loop arithmetic
     exactly (absolute completion estimates, first-min selection,
@@ -21,7 +21,14 @@
 
     The output is an event trace plus per-task records; helpers compute
     the paper's objective and convert the trace to segment form for
-    validity checking. *)
+    validity checking.
+
+    [schedule] is the batch form: every task submitted at time 0 with
+    its precedence edges as engine deps (dormant until its last parent
+    completes), drained one completion instant at a time
+    ({!Mwct_runtime.Engine.Make.step}) into a column schedule. The
+    solver registry's WDEQ/DEQ entries run curve-free instances
+    through it. *)
 
 module Make (F : Mwct_field.Field.S) = struct
   module T = Mwct_core.Types.Make (F)
@@ -129,7 +136,8 @@ module Make (F : Mwct_field.Field.S) = struct
         | None, [] -> fail "deadlock: alive tasks but no positive share"
       in
       let t0 = En.now eng in
-      if F.compare t0 target < 0 then En.iter_running eng (fun i s -> push_segment i t0 target s);
+      if F.compare t0 target < 0 then
+        List.iter (fun (i, s) -> push_segment i t0 target s) (En.running eng);
       let notes =
         match En.advance_to eng target with Ok l -> l | Error e -> fail (En.error_to_string e)
       in
@@ -151,6 +159,47 @@ module Make (F : Mwct_field.Field.S) = struct
           { release = releases.(i); completion = completion.(i); segments = List.rev segments.(i) })
     in
     { instance = inst; policy; events = List.rev !events; records }
+
+  (** Zero-release column run of [policy] on [inst], precedence edges
+      included: one column per completion instant, holding the running
+      shares ({!Mwct_runtime.Engine.Make.running}) over the interval
+      that ends there, by ascending id. Simultaneous completions are
+      ordered by index; the first carries the column and the others get
+      empty zero-length ones, as in
+      {!Mwct_core.Wdeq.Make.simulate_reference}. Raises
+      [Invalid_argument] on a refused submit, a deadlock or a stall. *)
+  let schedule (inst : T.instance) (policy : P.t) : T.column_schedule =
+    let n = I.num_tasks inst in
+    let fail msg = invalid_arg ("Simulator.schedule: " ^ msg) in
+    let ok = function Ok x -> x | Error e -> fail (En.error_to_string e) in
+    let eng =
+      En.create ?kinetic:(P.engine_kinetic policy) ~capacity:inst.T.procs
+        ~policy:(P.engine_policy policy) ()
+    in
+    Array.iteri
+      (fun i (t : T.task) ->
+        ok
+          (En.submit eng
+             ?speedup:(I.speedup_arrays inst i)
+             ~deps:(Array.to_list t.T.deps) ~id:i ~volume:t.T.volume ~weight:t.T.weight
+             ~cap:(I.effective_delta inst i) ()))
+      inst.T.tasks;
+    let order = Array.make n 0 and finish = Array.make n F.zero and columns = Array.make n [] in
+    let j = ref 0 in
+    while !j < n do
+      let column = En.running eng in
+      match ok (En.step eng) with
+      | [] -> fail "deadlock: tasks left but none alive"
+      | notes ->
+        columns.(!j) <- column;
+        List.iter
+          (fun i ->
+            order.(!j) <- i;
+            finish.(!j) <- En.now eng;
+            incr j)
+          (List.sort Int.compare (List.map (fun (nt : En.notification) -> nt.En.id) notes))
+    done;
+    { T.instance = inst; order; finish; columns }
 
   (** The paper's objective on a trace. *)
   let weighted_completion_time (tr : trace) : F.t =

@@ -28,6 +28,14 @@ module Make (F : Mwct_field.Field.S) : sig
   (** Simulate to completion. [releases] defaults to all zeros. *)
   val run : ?releases:F.t array -> T.instance -> P.t -> trace
 
+  (** Zero-release column run of a policy, precedence edges included:
+      every task submitted at time 0 (its edges as engine deps), one
+      column per completion instant with the running shares by
+      ascending id, simultaneous completions ordered by index (the
+      first carries the column). Raises [Invalid_argument] on a refused
+      submit, a deadlock or a stall. *)
+  val schedule : T.instance -> P.t -> T.column_schedule
+
   (** [Σ w_i C_i]. *)
   val weighted_completion_time : trace -> F.t
 

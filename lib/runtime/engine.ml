@@ -17,7 +17,8 @@
     {!Mwct_ncv.Simulator.run} step this engine from event to event with
     bit-identical output. The engine keeps no rate histories: the
     Simulator, their one reader, records them itself through
-    {!iter_running}. All state transitions are deterministic
+    {!running}, and drains batch instances one completion instant at a
+    time through {!step}. All state transitions are deterministic
     functions of the event sequence — the replay invariant
     {!Journal.replay} relies on (no wall clock, no hash-order
     iteration: views are built in increasing task-id order from a
@@ -402,8 +403,6 @@ module Make (F : Mwct_field.Field.S) = struct
       Hashtbl.fold (fun _ s acc -> if t.c_waiting.(s) > 0 then s :: acc else acc) t.slot_of_id []
       |> List.sort (fun a b -> Stdlib.compare t.c_id.(a) t.c_id.(b))
 
-  let dormant_ids t = List.map (fun s -> t.c_id.(s)) (dormant_slots t)
-
   (** [Some n] when [id] is dormant with [n] unmet parents. *)
   let waiting_on t id =
     match Hashtbl.find_opt t.slot_of_id id with
@@ -546,13 +545,6 @@ module Make (F : Mwct_field.Field.S) = struct
   type snapshot = { frozen : t }
 
   let snapshot (t : t) : snapshot = { frozen = copy_state t ~policy:t.policy ~kinetic:None }
-
-  (** Number of alive tasks in the frozen state (cheap introspection
-      for branch reports). *)
-  let snapshot_alive (s : snapshot) = s.frozen.nalive
-
-  (** Virtual time of the frozen state. *)
-  let snapshot_now (s : snapshot) = s.frozen.now_cell.(0)
 
   (** [fork snap] — a live engine whose straight-line future is
       byte-identical to the parent's: same journal output lines, same
@@ -779,17 +771,19 @@ module Make (F : Mwct_field.Field.S) = struct
     recompute_if_dirty t;
     next_completion t
 
-  (** [iter_running t f] brings the shares up to date (as {!next_eta}
-      does), then calls [f id share] for every task holding a positive
-      share, in step order: exactly the tasks the next advance step
+  (** [running t] brings the shares up to date (as {!next_eta} does)
+      and lists [(id, share)] for every task holding a positive share,
+      in ascending id order: exactly the tasks the next advance step
       moves, at these shares. *)
-  let iter_running t f =
+  let running t =
     recompute_if_dirty t;
-    for i = 0 to t.norder - 1 do
-      let slot = t.order.(i) in
+    let acc = ref [] in
+    for i = t.nalive - 1 downto 0 do
+      let slot = t.by_id.(i) in
       let s = t.c_share.(slot) in
-      if F.sign s > 0 then f t.c_id.(slot) s
-    done
+      if F.sign s > 0 then acc := (t.c_id.(slot), s) :: !acc
+    done;
+    !acc
 
   (* Close the [ndone] slots listed in [scratch_done] at the current
      clock; their notifications, in list order. *)
@@ -901,11 +895,13 @@ module Make (F : Mwct_field.Field.S) = struct
       match !err with Some e -> Error e | None -> Ok (List.rev !notes)
     end
 
-  let drain_generic t : (notification list, error) result =
+  (* [~once] stops after the first step that completes something: the
+     completion instant of {!step}. *)
+  let drain_generic ~once t : (notification list, error) result =
     let notes = ref [] in
     let stall = ref 0 in
     let err = ref None in
-    while t.nalive > 0 && !err = None do
+    while t.nalive > 0 && !err = None && not (once && !notes <> []) do
       recompute_if_dirty t;
       match next_completion t with
       | None -> err := Some (Invalid "deadlock: alive tasks but no positive share")
@@ -943,7 +939,7 @@ module Make (F : Mwct_field.Field.S) = struct
   type fops = {
     f_advance_rel : t -> F.t -> (notification list, error) result;
     f_advance_abs : t -> F.t -> (notification list, error) result;
-    f_drain : t -> (notification list, error) result;
+    f_drain : t -> bool -> (notification list, error) result;
   }
 
   let float_ops : fops option =
@@ -1024,7 +1020,9 @@ module Make (F : Mwct_field.Field.S) = struct
       let finish acc : (notification list, error) result =
         match acc with [] -> Ok [] | l -> Ok (List.rev l)
       in
-      let rec run (t : t) (has_target : bool) acc stall =
+      (* [once] (drain only) stops after the first step that completes
+         something, like [drain_generic]'s. *)
+      let rec run (t : t) (has_target : bool) (once : bool) acc stall =
         if (not has_target) && t.nalive = 0 then finish acc
         else begin
           recompute_if_dirty t;
@@ -1049,12 +1047,12 @@ module Make (F : Mwct_field.Field.S) = struct
                 !acc
               end
             in
-            if code = 1 then finish acc
+            if code = 1 || (once && acc <> []) then finish acc
             else begin
               let stall = if ndone = 0 then stall + 1 else 0 in
               if stall > no_progress_budget then
                 Error (Invalid "no progress: completion estimate does not converge")
-              else run t has_target acc stall
+              else run t has_target once acc stall
             end
           end
         end
@@ -1071,7 +1069,7 @@ module Make (F : Mwct_field.Field.S) = struct
             (Invalid
                (Printf.sprintf "advance into the past (target %s < now %s)"
                   (F.to_string t.fscratch.(0)) (F.to_string nowv)))
-        else run t true [] 0
+        else run t true false [] 0
       in
       Some
         {
@@ -1083,7 +1081,7 @@ module Make (F : Mwct_field.Field.S) = struct
             (fun t target ->
               t.fscratch.(0) <- target;
               start t);
-          f_drain = (fun t -> run t false [] 0);
+          f_drain = (fun t once -> run t false once [] 0);
         }
 
   (** Advance to absolute time [target], processing every completion on
@@ -1100,8 +1098,17 @@ module Make (F : Mwct_field.Field.S) = struct
       that starves everything). *)
   let drain t : (notification list, error) result =
     match float_ops with
-    | Some ops when t.ncurved = 0 -> ops.f_drain t
-    | _ -> drain_generic t
+    | Some ops when t.ncurved = 0 -> ops.f_drain t false
+    | _ -> drain_generic ~once:false t
+
+  (** Advance to the next completion instant and close what completes
+      there (every task whose remaining volume reaches zero at it); the
+      notifications, in share-list order. [Ok []] when nothing is
+      alive; the errors are {!drain}'s. *)
+  let step t : (notification list, error) result =
+    match float_ops with
+    | Some ops when t.ncurved = 0 -> ops.f_drain t true
+    | _ -> drain_generic ~once:true t
 
   (* ---------- input events ---------- *)
 

@@ -47,12 +47,12 @@ module Make (F : Mwct_field.Field.S) = struct
   (** [create ~resolve ~allocator ~out ~nshards ~route ~capacity
       ~policy_label ~policy ()]: a loop with no store yet. [capacity],
       [policy_label] and [policy] are the defaults an [init] line
-      overrides; the sinks, [shard_cap], [nshards] and [route] are
-      handed to {!Shard.Make.create} when the store is made. *)
-  let create ~resolve ~allocator ?clock ~out ?merged_sink ?shard_sink ?shard_cap ~nshards ~route
-      ~capacity ~policy_label ~policy () : t =
+      overrides; the sinks, [nshards] and [route] are handed to
+      {!Shard.Make.create} when the store is made. *)
+  let create ~resolve ~allocator ?clock ~out ?merged_sink ?shard_sink ~nshards ~route ~capacity
+      ~policy_label ~policy () : t =
     let make_store ~capacity ~policy_label (p : policy) =
-      St.create ?shard_cap ?merged_sink ~decision_sink:out ?shard_sink ~nshards ~route ~capacity
+      St.create ?merged_sink ~decision_sink:out ?shard_sink ~nshards ~route ~capacity
         ~allocator ~policy:p.share ~kinetic:p.kinetic ~policy_label ()
     in
     { resolve; make_store; default = (capacity, policy_label, policy); clock; out; store = None }

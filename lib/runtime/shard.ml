@@ -8,7 +8,7 @@
     [Advance_to], or each round of [Drain] — the {e allocator} (any
     {!Engine.Make.policy}, canonically the WDEQ kernel itself) splits
     the total capacity across the {e shards}, viewing shard [k] as a
-    pseudo-task with weight [Σ weight] and cap [min (Σ cap) shard_cap]
+    pseudo-task with weight [Σ weight] and cap [min (Σ cap) capacity]
     over its alive set. The budgets are applied through
     {!Engine.Make.set_capacity} and stay {e fixed for the whole tick}:
     shards advance to the same absolute target time independently, one
@@ -91,7 +91,6 @@ module Make (F : Mwct_field.Field.S) = struct
     nshards : int;
     route : route;
     capacity : F.t;  (* total, what the allocator splits *)
-    shard_cap : F.t;  (* per-shard budget ceiling *)
     allocator : En.policy;
     policy_label : string;  (* init-line policy name *)
     engines : En.t array;
@@ -195,18 +194,15 @@ module Make (F : Mwct_field.Field.S) = struct
       [allocator] splits the total capacity across shard views each
       tick; [policy] (plus a fresh [kinetic ()] per shard — the
       incremental rule is stateful, so it is a factory) runs inside
-      each engine. [shard_cap] (default: the total capacity) caps any
-      single shard's budget. [merged_sink] receives every merged
+      each engine. [merged_sink] receives every merged
       journal line; [decision_sink] only the [out] lines (same bytes
       and sequence numbers — serve points it at stdout); [shard_sink k]
       the per-shard journal lines. [record_segments] is accepted and
       ignored, like {!Engine.Make.create}'s. *)
-  let create ?record_segments:(_ : bool option) ?shard_cap ?merged_sink ?decision_sink ?shard_sink
+  let create ?record_segments:(_ : bool option) ?merged_sink ?decision_sink ?shard_sink
       ~nshards ~route ~capacity ~allocator ~policy ~kinetic ~policy_label () : t =
     if nshards < 1 then invalid_arg "Shard.create: nshards must be >= 1";
     if F.sign capacity <= 0 then invalid_arg "Shard.create: capacity must be positive";
-    let shard_cap = match shard_cap with Some c -> c | None -> capacity in
-    if F.sign shard_cap <= 0 then invalid_arg "Shard.create: shard_cap must be positive";
     let engines =
       Array.init nshards (fun _ ->
           En.create ?kinetic:(kinetic ()) ~capacity ~policy ())
@@ -216,7 +212,6 @@ module Make (F : Mwct_field.Field.S) = struct
         nshards;
         route;
         capacity;
-        shard_cap;
         allocator;
         policy_label;
         engines;
@@ -456,7 +451,7 @@ module Make (F : Mwct_field.Field.S) = struct
     for k = t.nshards - 1 downto 0 do
       if En.alive_count t.engines.(k) > 0 then begin
         let cap =
-          if F.compare t.d_sum.(k) t.shard_cap <= 0 then t.d_sum.(k) else t.shard_cap
+          if F.compare t.d_sum.(k) t.capacity <= 0 then t.d_sum.(k) else t.capacity
         in
         views := { En.id = k; weight = t.w_sum.(k); cap } :: !views
       end

@@ -55,16 +55,13 @@ let caps_to_string (i : info) = String.concat "," (List.map cap_to_string i.caps
 module Make (F : Mwct_field.Field.S) = struct
   module E = Mwct_core.Engine.Make (F)
 
-  (** Per-run metadata beyond the schedule: WDEQ's Lemma-2 volume
-      split, and the completion/insertion order for order-based
-      solvers. Fields are [None] when the solver has nothing to
-      report. *)
-  type meta = {
-    wdeq_diagnostics : E.Wdeq.diagnostics option;
-    order : int array option;
-  }
+  (** Per-run metadata beyond the schedule: the completion/insertion
+      order for order-based solvers, [None] when the solver has nothing
+      to report. (WDEQ's Lemma 2 split is read off the schedule by
+      {!Mwct_core.Wdeq.Make.split}.) *)
+  type meta = { order : int array option }
 
-  let no_meta = { wdeq_diagnostics = None; order = None }
+  let no_meta = { order = None }
 
   type t = {
     info : info;
@@ -76,20 +73,28 @@ module Make (F : Mwct_field.Field.S) = struct
   let of_greedy_order ~name ~doc ?caps order_of =
     make ~name ~doc ?caps (fun inst ->
         let sigma = order_of inst in
-        (E.Greedy.run inst sigma, { no_meta with order = Some sigma }))
+        (E.Greedy.run inst sigma, { order = Some sigma }))
+
+  (* Algorithm 1 (DEQ with [~use_weights:false]) over the ready
+     frontier: a zero-release drain of the online engine on the linear
+     law, the generic batch loop with speedup curves (DESIGN.md §6.1).
+     The simulator is applied per call, not per [Make]: every
+     application of [Make] would otherwise re-apply the runtime
+     functors at start-up. *)
+  let equipartition ~use_weights inst =
+    if E.Instance.has_curves inst then (E.Wdeq.simulate_reference ~use_weights inst, no_meta)
+    else begin
+      let module Sim = Mwct_ncv.Simulator.Make (F) in
+      (Sim.schedule inst (if use_weights then Sim.P.Wdeq else Sim.P.Deq), no_meta)
+    end
 
   let wdeq =
     make ~name:"wdeq" ~doc:"Weighted Dynamic EQuipartition (Algorithm 1), the 2-approximation"
-      ~caps:[ Non_clairvoyant; General_speedup ] (fun inst ->
-        let s, d = E.Wdeq.wdeq inst in
-        (s, { no_meta with wdeq_diagnostics = Some d }))
+      ~caps:[ Non_clairvoyant; General_speedup ] (equipartition ~use_weights:true)
 
   let deq =
     make ~name:"deq" ~doc:"unweighted Dynamic EQuipartition (Deng et al.)"
-      ~caps:[ Non_clairvoyant; General_speedup ]
-      (fun inst ->
-        let s, d = E.Wdeq.deq inst in
-        (s, { no_meta with wdeq_diagnostics = Some d }))
+      ~caps:[ Non_clairvoyant; General_speedup ] (equipartition ~use_weights:false)
 
   let greedy_smith =
     of_greedy_order ~name:"greedy-smith" ~doc:"Greedy (Algorithm 3) in Smith/LRF order (largest w/V first)"
@@ -116,7 +121,7 @@ module Make (F : Mwct_field.Field.S) = struct
     make ~name:"best-greedy" ~doc:"best Greedy over all n! insertion orders (Section V-A quantity)"
       ~caps:[ Enumerative ] (fun inst ->
         let _, sigma = E.Lp_schedule.best_greedy inst in
-        (E.Greedy.run inst sigma, { no_meta with order = Some sigma }))
+        (E.Greedy.run inst sigma, { order = Some sigma }))
 
   let wdeq_dag =
     make ~name:"wdeq-dag"
@@ -131,7 +136,7 @@ module Make (F : Mwct_field.Field.S) = struct
     make ~name:"optimal" ~doc:"exact optimum: Corollary-1 LP over all n! completion orders (n <= 8)"
       ~caps:[ Needs_lp; Exact_recommended; Enumerative ] (fun inst ->
         let _, s = E.Lp_schedule.optimal inst in
-        (s, { no_meta with order = Some s.E.Types.order }))
+        (s, { order = Some s.E.Types.order }))
 
   (** The registry. Order is the presentation order everywhere
       ([--list-algos], bench, README). *)
@@ -180,8 +185,3 @@ let find_info name = List.find_opt (fun i -> i.name = name) infos
     online runtime uses to decide whether a named algorithm may drive
     the event engine. *)
 let info_has_cap c (i : info) = List.mem c i.caps
-
-(** Names of the registered solvers usable as online policies
-    ({!Non_clairvoyant} capability). *)
-let non_clairvoyant_names =
-  List.filter_map (fun i -> if info_has_cap Non_clairvoyant i then Some i.name else None) infos

@@ -101,7 +101,7 @@ let prop_makespan_below_any_schedule =
       let sigma = EF.Orderings.random (Rng.create seed) n in
       let t_star = EF.Makespan.optimal inst in
       let g = EF.Greedy.run inst sigma in
-      let w, _ = EF.Wdeq.wdeq inst in
+      let w = EF.Wdeq.wdeq inst in
       t_star <= EF.Schedule.makespan g +. 1e-6 && t_star <= EF.Schedule.makespan w +. 1e-6)
 
 let test_makespan_exact () =

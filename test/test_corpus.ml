@@ -46,7 +46,7 @@ let test_replay name () =
 let test_thm9_boundary () =
   let qi = Support.qinst (load "wdeq-thm9-boundary.spec") in
   let n = Array.length qi.EQ.Types.tasks in
-  let s, _ = EQ.Wdeq.wdeq qi in
+  let s = EQ.Wdeq.wdeq qi in
   let changes = EQ.Preemption.total_changes (EQ.Water_filling.normalize s) in
   Alcotest.(check bool)
     (Printf.sprintf "WDEQ needs > n allocation changes (%d for n=%d)" changes n)

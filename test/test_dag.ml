@@ -223,7 +223,7 @@ deps 1
    prefix sums 1, 2, 2.5 and the order is forced. *)
 let test_dag_chain_schedule () =
   let inst = Support.finst chain_spec in
-  let s, _ = EF.Wdeq.wdeq inst in
+  let s = EF.Wdeq.wdeq inst in
   Alcotest.(check (array int)) "forced order" [| 0; 1; 2 |] s.EF.Types.order;
   Alcotest.(check (array (float 1e-9))) "prefix-sum finishes" [| 1.0; 2.0; 2.5 |]
     s.EF.Types.finish
@@ -244,7 +244,7 @@ deps 1 2
 (* The diamond respects precedence and matches the registry solver. *)
 let test_dag_diamond_valid () =
   let inst = Support.finst diamond_spec in
-  let s, _ = EF.Wdeq.wdeq inst in
+  let s = EF.Wdeq.wdeq inst in
   let c = EF.Schedule.completion_times s in
   Array.iteri
     (fun i (t : EF.Types.task) ->
@@ -261,9 +261,8 @@ let test_dag_diamond_valid () =
     (SF.objective "wdeq-dag" inst)
 
 (* Zero-edge instances take the independent-bag code path: the
-   registry's frontier entry and the transitive flag both reproduce the
-   bag schedule — exact structural equality, not just objective
-   agreement. *)
+   registry's frontier entry reproduces the bag schedule — exact
+   structural equality, not just objective agreement. *)
 let prop_zero_edge_identity =
   QCheck2.Test.make ~count:80 ~name:"wdeq-dag = wdeq on zero-edge instances (exact equality)"
     ~print:Support.print_spec
@@ -277,7 +276,7 @@ let prop_zero_edge_identity =
         && d.EF.Types.finish = w.EF.Types.finish
         && d.EF.Types.columns = w.EF.Types.columns
       in
-      same (solve "wdeq-dag") && same (fst (EF.Wdeq.simulate ~transitive:true inst)))
+      same (solve "wdeq-dag"))
 
 (* The batch frontier schedule against the online engine's dormant ->
    alive lifecycle: every task submitted at time 0 (parents listed as
@@ -318,60 +317,11 @@ let prop_batch_matches_engine =
       let inst = Support.qinst spec in
       List.for_all
         (fun (policy, batch) ->
-          let c = EQ.Schedule.completion_times (fst (batch inst)) in
+          let c = EQ.Schedule.completion_times (batch inst) in
           let notes = engine_completions policy inst in
           List.length notes = Array.length c
           && List.for_all (fun (n : EnQ.notification) -> EQ.Field.equal n.EnQ.at c.(n.EnQ.id)) notes)
         [ (SimQ.P.Wdeq, EQ.Wdeq.wdeq); (SimQ.P.Deq, EQ.Wdeq.deq) ])
-
-(* Remaining-work transitive weighting (ROADMAP PR 9 follow-up): a
-   gate's share weight is the work its completion unlocks, not the raw
-   weight count of its subtree. On one processor, gate 0 fronts a
-   heavy-weight but feather-light descendant (w=4, h=1/8) and gate 1 a
-   light-weight mountain (w=1, h=8). Counting weights — the old
-   behavior — rates the gates 5 : 2 and completes gate 0 first
-   (t = 7/5 vs 7/2); pricing remaining gated work rates them
-   1.5 : 9 and completes gate 1 first (t = 7/6 vs 7). Pinned so the
-   orderings can never silently swap back. *)
-let gated_work_spec =
-  parse
-    {|
-procs 1
-task 1 1 1
-task 1 1 1
-task 1/8 4 1
-deps 0
-task 8 1 1
-deps 1
-|}
-
-let test_transitive_remaining_work () =
-  let inst = Support.finst gated_work_spec in
-  let gw = EF.Instance.gated_work inst in
-  Alcotest.(check (float 1e-9)) "gate 0 gates w·h = 1/2" 0.5 gw.(0);
-  Alcotest.(check (float 1e-9)) "gate 1 gates w·h = 8" 8.0 gw.(1);
-  let s, _ = EF.Wdeq.simulate ~transitive:true inst in
-  Alcotest.(check int) "heavy-work gate completes first" 1 s.EF.Types.order.(0);
-  (* the plain (non-transitive) run still starts with gate 0's side:
-     equal own weights tie, and ties resolve nothing here — but the
-     weight-count variant's preference is what the gated-work numbers
-     above overturn *)
-  let gw_unit = EF.Instance.gated_work ~use_weights:false inst in
-  Alcotest.(check (float 1e-9)) "unweighted gated work is height" 0.125 gw_unit.(0);
-  Alcotest.(check (float 1e-9)) "unweighted gated work is height" 8.0 gw_unit.(1)
-
-(* Transitive weighting changes shares, never validity: the flagged
-   variant must still satisfy the precedence oracle's invariant. *)
-let test_transitive_variant_valid () =
-  let inst = Support.finst diamond_spec in
-  let s, _ = EF.Wdeq.simulate ~transitive:true inst in
-  let c = EF.Schedule.completion_times s in
-  Array.iteri
-    (fun i (t : EF.Types.task) ->
-      Array.iter
-        (fun p -> Alcotest.(check bool) "precedence holds" true (c.(p) <= c.(i) +. 1e-9))
-        t.EF.Types.deps)
-    inst.EF.Types.tasks
 
 let () =
   let p = QCheck_alcotest.to_alcotest in
@@ -399,9 +349,6 @@ let () =
         [
           Alcotest.test_case "chain schedule" `Quick test_dag_chain_schedule;
           Alcotest.test_case "diamond valid + registry agreement" `Quick test_dag_diamond_valid;
-          Alcotest.test_case "transitive variant valid" `Quick test_transitive_variant_valid;
-          Alcotest.test_case "transitive prices remaining work" `Quick
-            test_transitive_remaining_work;
           p prop_zero_edge_identity;
           p prop_batch_matches_engine;
         ] );

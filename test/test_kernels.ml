@@ -89,7 +89,7 @@ let prop_simulate_columns_are_fixpoints =
     (Support.gen_spec ~max_procs:5 ~max_n:5 `Uniform)
     (fun spec ->
       let inst = Support.qinst spec in
-      let s, _ = EQ.Wdeq.wdeq inst in
+      let s = EQ.Wdeq.wdeq inst in
       let n = Array.length s.EQ.Types.finish in
       let ok = ref true in
       for j = 0 to n - 1 do
@@ -142,7 +142,7 @@ let prop_dense_round_trip_exact =
     (Support.gen_spec ~max_procs:5 ~max_n:5 `Uniform)
     (fun spec ->
       let inst = Support.qinst spec in
-      let s, _ = EQ.Wdeq.wdeq inst in
+      let s = EQ.Wdeq.wdeq inst in
       let s' =
         EQ.Schedule.of_dense ~instance:s.EQ.Types.instance ~order:s.EQ.Types.order
           ~finish:s.EQ.Types.finish (EQ.Schedule.dense_alloc s)

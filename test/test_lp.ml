@@ -68,7 +68,7 @@ let prop_lp_sandwich =
       let inst = Support.finst spec in
       let opt, _ = EF.Lp_schedule.optimal inst in
       let lower = EF.Lower_bounds.best inst in
-      let wdeq, _ = EF.Wdeq.wdeq inst in
+      let wdeq = EF.Wdeq.wdeq inst in
       let wdeq_obj = EF.Schedule.weighted_completion_time wdeq in
       let smith_greedy = EF.Greedy.objective inst (EF.Orderings.smith inst) in
       lower <= opt +. 1e-6 && opt <= wdeq_obj +. 1e-6 && opt <= smith_greedy +. 1e-6)

@@ -134,7 +134,7 @@ let test_single_task_everything () =
   (* Every algorithm must agree on the only possible answer: the task
      runs at its cap, C = 3, objective = 6. *)
   let expect name v = Alcotest.(check (float 1e-9)) name 6. v in
-  expect "wdeq" (EF.Schedule.weighted_completion_time (fst (EF.Wdeq.wdeq inst)));
+  expect "wdeq" (EF.Schedule.weighted_completion_time (EF.Wdeq.wdeq inst));
   expect "greedy" (EF.Greedy.objective inst [| 0 |]);
   expect "lp" (fst (EF.Lp_schedule.optimal inst));
   Alcotest.(check (float 1e-9)) "makespan" 3. (EF.Makespan.optimal inst);

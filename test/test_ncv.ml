@@ -46,7 +46,7 @@ let test_simulator_matches_core_wdeq () =
   let inst = Support.finst spec in
   let tr = Sim.run inst Pol.Wdeq in
   Alcotest.(check (result unit string)) "trace valid" (Ok ()) (Sim.check tr);
-  let core, _ = EF.Wdeq.wdeq inst in
+  let core = EF.Wdeq.wdeq inst in
   f "objective matches core simulator"
     (EF.Schedule.weighted_completion_time core)
     (Sim.weighted_completion_time tr)
@@ -118,7 +118,7 @@ let prop_zero_release_matches_core =
       let inst = Support.finst spec in
       let tr = Sim.run inst Pol.Wdeq in
       let s = Sim.to_column_schedule tr in
-      let core, _ = EF.Wdeq.wdeq inst in
+      let core = EF.Wdeq.wdeq inst in
       EF.Schedule.is_valid s
       && Float.abs (Sim.weighted_completion_time tr -. EF.Schedule.weighted_completion_time core) < 1e-6)
 

@@ -168,7 +168,7 @@ let prop_engine_matches_wdeq_float =
     (fun spec ->
       let inst = Support.finst spec in
       let eng = HF.drain_all inst in
-      let batch, _ = EF.Wdeq.wdeq inst in
+      let batch = EF.Wdeq.wdeq inst in
       let expected = EF.Schedule.weighted_completion_time batch in
       abs_float (expected -. HF.En.weighted_completion eng) <= 1e-9 *. (1. +. abs_float expected))
 
@@ -179,7 +179,7 @@ let prop_engine_matches_wdeq_exact =
     (fun spec ->
       let inst = Support.qinst spec in
       let eng = HQ.drain_all inst in
-      let batch, _ = EQ.Wdeq.wdeq inst in
+      let batch = EQ.Wdeq.wdeq inst in
       Support.Q.equal (EQ.Schedule.weighted_completion_time batch) (HQ.En.weighted_completion eng))
 
 (* Per-task completion times, not just the objective. *)
@@ -189,7 +189,7 @@ let test_engine_completions_match () =
   in
   let inst = Support.finst spec in
   let eng = HF.drain_all inst in
-  let batch, _ = EF.Wdeq.wdeq inst in
+  let batch = EF.Wdeq.wdeq inst in
   let by_id = HF.En.completions eng in
   Array.iteri
     (fun j ti ->

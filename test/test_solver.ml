@@ -1,7 +1,8 @@
 (* The solver registry and driver (lib/solver): registry integrity,
    equivalence with the direct engine entry points (the registry must
-   be a pure re-packaging, bit-identical on the float engine), and
-   coherence of the uniform driver report. *)
+   be a pure re-packaging, bit-identical on the float engine), WDEQ/DEQ
+   against the generic batch loop on every fuzz family, and coherence
+   of the uniform driver report. *)
 
 open Test_support
 module EF = Support.EF
@@ -11,6 +12,7 @@ module SF = Sv.Float
 module SQ = Sv.Exact
 module DF = Mwct_solver.Driver.Float
 module DQ = Mwct_solver.Driver.Exact
+module Instances = Mwct_check.Instances
 
 (* A small fixed instance exercised by every solver, including the
    enumerative ones (n = 4 is well under the LP guard of 8). *)
@@ -71,13 +73,15 @@ let test_caps () =
 (* ---------- equivalence with the direct engine calls ---------- *)
 
 (* The registry entries wrap the very same engine functions the callers
-   used before the refactor, so on the float engine the objectives must
-   be *bit-identical*, not merely close. *)
+   use directly (WDEQ/DEQ: the online engine's zero-release drain), so
+   on the float engine the objectives must be *bit-identical*, not
+   merely close. *)
 let test_equivalence_float () =
   let inst = fi () in
   let obj = EF.Schedule.weighted_completion_time in
-  Alcotest.(check (float 0.)) "wdeq" (obj (fst (EF.Wdeq.wdeq inst))) (SF.objective "wdeq" inst);
-  Alcotest.(check (float 0.)) "deq" (obj (fst (EF.Wdeq.deq inst))) (SF.objective "deq" inst);
+  let module Sim = Mwct_ncv.Simulator.Float in
+  Alcotest.(check (float 0.)) "wdeq" (obj (Sim.schedule inst Sim.P.Wdeq)) (SF.objective "wdeq" inst);
+  Alcotest.(check (float 0.)) "deq" (obj (Sim.schedule inst Sim.P.Deq)) (SF.objective "deq" inst);
   Alcotest.(check (float 0.)) "greedy-smith"
     (obj (EF.Greedy.run inst (EF.Orderings.smith inst)))
     (SF.objective "greedy-smith" inst);
@@ -101,21 +105,68 @@ let test_equivalence_exact () =
   Alcotest.(check string) "exact optimal" (Q.to_string lp)
     (Q.to_string (SQ.objective "optimal" inst));
   Alcotest.(check string) "exact wdeq"
-    (Q.to_string (EQ.Schedule.weighted_completion_time (fst (EQ.Wdeq.wdeq inst))))
+    (Q.to_string (EQ.Schedule.weighted_completion_time (EQ.Wdeq.wdeq inst)))
     (Q.to_string (SQ.objective "wdeq" inst))
 
-let test_wdeq_meta () =
+(* The Lemma 2 split read off the registry's WDEQ schedule partitions
+   each volume, and on the exact field equals the split of the generic
+   loop's schedule. *)
+let test_wdeq_split () =
   let inst = fi () in
-  let _, meta = SF.solve_exn "wdeq" inst in
-  let d = Option.get meta.SF.wdeq_diagnostics in
-  (* the Lemma-2 split partitions each volume *)
+  let d = EF.Wdeq.split (fst (SF.solve_exn "wdeq" inst)) in
   Array.iteri
     (fun i (t : EF.Types.task) ->
       Support.check_close "full + limited = volume" t.EF.Types.volume
         (d.EF.Wdeq.full_volume.(i) +. d.EF.Wdeq.limited_volume.(i)))
     inst.EF.Types.tasks;
-  let _, meta = SF.solve_exn "wf-cmax" inst in
-  Alcotest.(check bool) "wf-cmax has no wdeq diagnostics" true (meta.SF.wdeq_diagnostics = None)
+  let qi = qi () in
+  let q = EQ.Wdeq.split (fst (SQ.solve_exn "wdeq" qi)) and r = EQ.Wdeq.split (EQ.Wdeq.wdeq qi) in
+  Alcotest.(check bool) "exact split = generic loop's" true
+    (Array.for_all2 Support.Q.equal q.EQ.Wdeq.full_volume r.EQ.Wdeq.full_volume
+    && Array.for_all2 Support.Q.equal q.EQ.Wdeq.limited_volume r.EQ.Wdeq.limited_volume)
+
+(* The four WDEQ/DEQ registry entries (an engine drain on curve-free
+   instances) against [Wdeq.simulate_reference] on every fuzz family,
+   seeds 0-29, 1 to 12 tasks: the exact schedules must be structurally
+   equal, the float objectives within 1e-12 relative. *)
+let test_equipartition_families () =
+  let entries = [ ("wdeq", true); ("deq", false); ("wdeq-dag", true); ("deq-dag", false) ] in
+  let runs = ref 0 in
+  for seed = 0 to 29 do
+    let rng = Mwct_util.Rng.create seed in
+    let draw lo hi = Mwct_util.Rng.int_in rng lo hi in
+    List.iter
+      (fun family ->
+        let spec = Instances.sample draw ~max_n:12 family in
+        let fi = EF.Instance.of_spec spec and qi = EQ.Instance.of_spec spec in
+        List.iter
+          (fun (name, use_weights) ->
+            if DF.supports (SF.find_exn name) fi then begin
+              incr runs;
+              let where field =
+                Printf.sprintf "seed %d, %s, %s: %s" seed (Instances.family_name family) name field
+              in
+              let got = fst (SF.solve_exn name fi) in
+              let want = EF.Wdeq.simulate_reference ~use_weights fi in
+              let g = EF.Schedule.weighted_completion_time got
+              and w = EF.Schedule.weighted_completion_time want in
+              if Float.abs (g -. w) > 1e-12 *. Float.abs w then
+                Alcotest.failf "%s (%h against %h)" (where "float objective") g w;
+              let got = fst (SQ.solve_exn name qi) in
+              let want = EQ.Wdeq.simulate_reference ~use_weights qi in
+              if
+                not
+                  (got.EQ.Types.order = want.EQ.Types.order
+                  && Array.for_all2 Support.Q.equal got.EQ.Types.finish want.EQ.Types.finish
+                  && Array.for_all2
+                       (List.equal (fun (i, a) (j, b) -> i = j && Support.Q.equal a b))
+                       got.EQ.Types.columns want.EQ.Types.columns)
+              then Alcotest.fail (where "exact schedules differ")
+            end)
+          entries)
+      Instances.all_families
+  done;
+  Alcotest.(check bool) "every family ran" true (!runs > 30 * List.length Instances.all_families)
 
 (* ---------- driver report coherence ---------- *)
 
@@ -225,7 +276,9 @@ let () =
         [
           Alcotest.test_case "float engine bit-identical" `Quick test_equivalence_float;
           Alcotest.test_case "exact engine identical" `Quick test_equivalence_exact;
-          Alcotest.test_case "wdeq diagnostics via meta" `Quick test_wdeq_meta;
+          Alcotest.test_case "wdeq split of the registry run" `Quick test_wdeq_split;
+          Alcotest.test_case "wdeq/deq = generic loop, every family" `Quick
+            test_equipartition_families;
         ] );
       ( "driver",
         [

@@ -133,7 +133,7 @@ let prop_identity_curve_is_linear =
               spec.Spec.tasks;
         }
       in
-      let o inst = EQ.Schedule.weighted_completion_time (fst (EQ.Wdeq.wdeq inst)) in
+      let o inst = EQ.Schedule.weighted_completion_time (EQ.Wdeq.wdeq inst) in
       Q.equal (o (Support.qinst spec)) (o (Support.qinst curved)))
 
 (* ---------- generic WDEQ path on curved instances ---------- *)
@@ -148,13 +148,13 @@ let valid_wdeq_on ~exact kind count =
     (Support.gen_spec ~max_n:6 kind)
     (fun spec ->
       if exact then begin
-        let sched, _ = EQ.Wdeq.wdeq (Support.qinst spec) in
+        let sched = EQ.Wdeq.wdeq (Support.qinst spec) in
         match EQ.Schedule.check ~exact:true sched with
         | Ok () -> true
         | Error v -> QCheck2.Test.fail_report (EQ.Schedule.violation_to_string v)
       end
       else begin
-        let sched, _ = EF.Wdeq.wdeq (Support.finst spec) in
+        let sched = EF.Wdeq.wdeq (Support.finst spec) in
         match EF.Schedule.check sched with
         | Ok () -> true
         | Error v -> QCheck2.Test.fail_report (EF.Schedule.violation_to_string v)
@@ -173,7 +173,7 @@ let prop_bounds_dominated_curved =
     (Support.gen_spec ~max_n:5 `Concave_curves)
     (fun spec ->
       let inst = Support.qinst spec in
-      let obj = EQ.Schedule.weighted_completion_time (fst (EQ.Wdeq.wdeq inst)) in
+      let obj = EQ.Schedule.weighted_completion_time (EQ.Wdeq.wdeq inst) in
       Q.compare (EQ.Lower_bounds.best inst) obj <= 0)
 
 (* ---------- makespan under curves ---------- *)
@@ -228,7 +228,7 @@ let prop_engine_matches_wdeq_curved_float =
     (fun spec ->
       let inst = Support.finst spec in
       let eng = HF.drain_all inst in
-      let batch, _ = EF.Wdeq.wdeq inst in
+      let batch = EF.Wdeq.wdeq inst in
       let expected = EF.Schedule.weighted_completion_time batch in
       abs_float (expected -. HF.En.weighted_completion eng) <= 1e-9 *. (1. +. abs_float expected))
 
@@ -239,7 +239,7 @@ let prop_engine_matches_wdeq_curved_exact =
     (fun spec ->
       let inst = Support.qinst spec in
       let eng = HQ.drain_all inst in
-      let batch, _ = EQ.Wdeq.wdeq inst in
+      let batch = EQ.Wdeq.wdeq inst in
       Q.equal (EQ.Schedule.weighted_completion_time batch) (HQ.En.weighted_completion eng))
 
 (* ---------- journal round-trip of curved submissions ---------- *)

@@ -30,7 +30,8 @@ let test_greedy_wf_at_scale () =
 let test_wdeq_at_scale () =
   let n = 300 and procs = 24 in
   let inst = big_instance ~n ~procs 2 in
-  let s, d = EF.Wdeq.wdeq inst in
+  let s = EF.Wdeq.wdeq inst in
+  let d = EF.Wdeq.split s in
   Alcotest.(check bool) "WDEQ valid at n=300" true (EF.Schedule.is_valid s);
   let tc = EF.Schedule.weighted_completion_time s in
   let bound =

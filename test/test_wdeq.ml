@@ -16,7 +16,7 @@ let test_share_clipping () =
     Support.finst
       (Support.spec ~procs:4 [ ((1, 1), (1, 1), 1); ((6, 1), (1, 1), 4) ])
   in
-  let s, _ = EF.Wdeq.wdeq inst in
+  let s = EF.Wdeq.wdeq inst in
   Alcotest.(check bool) "valid" true (EF.Schedule.is_valid s);
   f "T0 share" 1. (EF.Schedule.alloc s 0 0);
   f "T1 share" 3. (EF.Schedule.alloc s 1 0);
@@ -29,7 +29,7 @@ let test_weighted_share () =
   (* P=3, weights 1 and 2, large deltas: shares 1 and 2. *)
   let inst =
     Support.finst (Support.spec ~procs:3 [ ((1, 1), (1, 1), 3); ((2, 1), (2, 1), 3) ]) in
-  let s, _ = EF.Wdeq.wdeq inst in
+  let s = EF.Wdeq.wdeq inst in
   f "T0 share w-proportional" 1. (EF.Schedule.alloc s 0 0);
   f "T1 share w-proportional" 2. (EF.Schedule.alloc s 1 0);
   (* Both finish exactly at t=1 (simultaneous): two columns, tie. *)
@@ -39,7 +39,7 @@ let test_weighted_share () =
 let test_deq_ignores_weights () =
   let spec = Support.spec ~procs:2 [ ((1, 1), (5, 1), 2); ((1, 1), (1, 1), 2) ] in
   let inst = Support.finst spec in
-  let s, _ = EF.Wdeq.deq inst in
+  let s = EF.Wdeq.deq inst in
   (* Equal shares despite unequal weights. *)
   f "T0 share 1" 1. (EF.Schedule.alloc s 0 0);
   f "T1 share 1" 1. (EF.Schedule.alloc s 1 0)
@@ -47,7 +47,7 @@ let test_deq_ignores_weights () =
 let test_diagnostics_partition () =
   let inst =
     Support.finst (Support.spec ~procs:4 [ ((1, 1), (1, 1), 1); ((6, 1), (1, 1), 4) ]) in
-  let _, d = EF.Wdeq.wdeq inst in
+  let d = EF.Wdeq.split (EF.Wdeq.wdeq inst) in
   (* Volumes split into full-allocation and limited parts, summing to V. *)
   for i = 0 to 1 do
     f
@@ -63,7 +63,7 @@ let test_diagnostics_partition () =
 
 let test_exact_wdeq () =
   let inst = Support.qinst (Support.spec ~procs:4 [ ((1, 1), (1, 1), 1); ((6, 1), (1, 1), 4) ]) in
-  let s, _ = EQ.Wdeq.wdeq inst in
+  let s = EQ.Wdeq.wdeq inst in
   Alcotest.(check bool) "strictly valid" true (EQ.Schedule.is_valid ~exact:true s);
   Alcotest.(check string) "C1 = 7/4" "7/4" (Q.to_string (EQ.Schedule.completion_time s 1))
 
@@ -74,7 +74,7 @@ let prop_wdeq_valid =
     (Support.gen_spec `Uniform)
     (fun spec ->
       let inst = Support.finst spec in
-      let s, _ = EF.Wdeq.wdeq inst in
+      let s = EF.Wdeq.wdeq inst in
       EF.Schedule.is_valid s)
 
 let prop_diagnostics_sum =
@@ -82,7 +82,7 @@ let prop_diagnostics_sum =
     (Support.gen_spec `Uniform)
     (fun spec ->
       let inst = Support.finst spec in
-      let _, d = EF.Wdeq.wdeq inst in
+      let d = EF.Wdeq.split (EF.Wdeq.wdeq inst) in
       Array.for_all
         (fun i ->
           Float.abs
@@ -96,7 +96,8 @@ let prop_lemma2_bound =
     (Support.gen_spec `Uniform)
     (fun spec ->
       let inst = Support.finst spec in
-      let s, d = EF.Wdeq.wdeq inst in
+      let s = EF.Wdeq.wdeq inst in
+      let d = EF.Wdeq.split s in
       let tc = EF.Schedule.weighted_completion_time s in
       let a = EF.Lower_bounds.squashed_area (EF.Instance.sub_instance inst d.EF.Wdeq.limited_volume) in
       let h = EF.Lower_bounds.height_bound (EF.Instance.sub_instance inst d.EF.Wdeq.full_volume) in
@@ -108,7 +109,7 @@ let prop_theorem4_two_approx =
     (Support.gen_spec ~max_procs:4 ~max_n:4 ~den:16 `Uniform)
     (fun spec ->
       let qi = Support.qinst spec in
-      let s, _ = EQ.Wdeq.wdeq qi in
+      let s = EQ.Wdeq.wdeq qi in
       let wdeq_obj = EQ.Schedule.weighted_completion_time s in
       let opt, _ = EQ.Lp_schedule.optimal qi in
       Q.compare wdeq_obj (Q.mul (Q.of_int 2) opt) <= 0)
@@ -118,7 +119,7 @@ let prop_wdeq_above_lower_bounds =
     ~print:Support.print_spec (Support.gen_spec `Uniform)
     (fun spec ->
       let inst = Support.finst spec in
-      let s, _ = EF.Wdeq.wdeq inst in
+      let s = EF.Wdeq.wdeq inst in
       let tc = EF.Schedule.weighted_completion_time s in
       EF.Lower_bounds.best inst <= tc +. 1e-6)
 
@@ -127,8 +128,8 @@ let prop_deq_equals_wdeq_when_unweighted =
     (Support.gen_spec `Unweighted)
     (fun spec ->
       let inst = Support.finst spec in
-      let s1, _ = EF.Wdeq.wdeq inst in
-      let s2, _ = EF.Wdeq.deq inst in
+      let s1 = EF.Wdeq.wdeq inst in
+      let s2 = EF.Wdeq.deq inst in
       Float.abs
         (EF.Schedule.weighted_completion_time s1 -. EF.Schedule.weighted_completion_time s2)
       < 1e-6)
@@ -146,7 +147,7 @@ let prop_wdeq_valid_adversarial =
     ~print:Support.print_spec gen_adversarial
     (fun spec ->
       let inst = Support.finst spec in
-      let s, _ = EF.Wdeq.wdeq inst in
+      let s = EF.Wdeq.wdeq inst in
       EF.Schedule.is_valid s)
 
 let prop_lemma2_exact_near_tie =
@@ -154,7 +155,8 @@ let prop_lemma2_exact_near_tie =
     ~print:Support.print_spec (Support.gen_spec `Near_tie)
     (fun spec ->
       let qi = Support.qinst spec in
-      let s, d = EQ.Wdeq.wdeq qi in
+      let s = EQ.Wdeq.wdeq qi in
+      let d = EQ.Wdeq.split s in
       let tc = EQ.Schedule.weighted_completion_time s in
       let a = EQ.Lower_bounds.squashed_area (EQ.Instance.sub_instance qi d.EQ.Wdeq.limited_volume) in
       let h = EQ.Lower_bounds.height_bound (EQ.Instance.sub_instance qi d.EQ.Wdeq.full_volume) in
