@@ -72,16 +72,19 @@ let () =
     else Filename.concat (Filename.get_temp_dir_name ()) "online.jsonl"
   in
   let oc = open_out path in
-  let w = J.writer oc in
-  ignore (J.record w (J.Init { capacity = float_of_int procs; policy = "wdeq" }));
+  let seq = ref 0 in
+  let record e =
+    output_string oc (J.to_line ~seq:!seq e);
+    output_char oc '\n';
+    incr seq
+  in
+  record (J.Init { capacity = float_of_int procs; policy = "wdeq" });
   let eng = En.create ~capacity:(float_of_int procs) ~policy:(Sim.P.engine_policy Sim.P.Wdeq) () in
   let apply ev =
     match En.apply eng ev with
     | Ok notes ->
-      ignore (J.record w (J.Input ev));
-      List.iter
-        (fun (nt : En.notification) -> ignore (J.record w (J.Output { id = nt.En.id; at = nt.En.at })))
-        notes
+      record (J.Input ev);
+      List.iter (fun (nt : En.notification) -> record (J.Output { id = nt.En.id; at = nt.En.at })) notes
     | Error e -> failwith (En.error_to_string e)
   in
   Array.iteri
@@ -100,7 +103,7 @@ let () =
     releases;
   apply En.Drain;
   close_out oc;
-  Printf.printf "\nRecorded %d journal lines to %s\n" w.J.next_seq path;
+  Printf.printf "\nRecorded %d journal lines to %s\n" !seq path;
   let replayed =
     match J.load path with
     | Error msg -> failwith ("journal load failed: " ^ msg)

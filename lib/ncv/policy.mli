@@ -2,8 +2,9 @@
     remaining volumes can decide at each instant. *)
 
 module Make (F : Mwct_field.Field.S) : sig
-  (** What a policy observes about one alive task. *)
-  type view = { id : int; weight : F.t; cap : F.t }
+  (** What a policy observes about one alive task: the engine's view
+      record, so the engine hands its views to {!shares} as they are. *)
+  type view = Mwct_runtime.Engine.Make(F).view = { id : int; weight : F.t; cap : F.t }
 
   (** [Wdeq] — Algorithm 1 of the paper (weighted equipartition with
       cap clipping and surplus redistribution); [Deq] — its unweighted
@@ -25,54 +26,16 @@ module Make (F : Mwct_field.Field.S) : sig
   val shares : t -> capacity:F.t -> view list -> (int * F.t) list
 
   (** The policy as the online runtime's share function (the engine's
-      pluggable policy slot). *)
-  val engine_policy :
-    t -> capacity:F.t -> Mwct_runtime.Engine.Make(F).view list -> (int * F.t) list
+      pluggable policy slot): {!shares} itself. *)
+  val engine_policy : t -> capacity:F.t -> view list -> (int * F.t) list
 
-  (** Incremental (kinetic) WDEQ/DEQ: the saturation-ratio order kept
-      sorted across task arrivals/departures, making each reshare a set
-      of linear sweeps. Bit-identical to {!shares} by contract; the
-      full kernel stays the oracle in the differential tests. *)
-  module Incremental : sig
-    type state
-
-    (** [create ~use_weights ()] — an empty kinetic state;
-        [use_weights:false] is DEQ (every weight treated as [1]). *)
-    val create : use_weights:bool -> unit -> state
-
-    (** Track a task. [slot] is the caller's dense index (the engine's
-        slot number); [id] breaks ratio ties, keeping the order total. *)
-    val add : state -> slot:int -> id:int -> weight:F.t -> cap:F.t -> unit
-
-    (** Forget a task. [slot]'s attributes must still be those of the
-        matching {!add} (the engine removes before any slot reuse). *)
-    val remove : state -> slot:int -> unit
-
-    (** Fill [share] (slot-indexed) and [order] (output order) for the
-        [n] tracked slots listed in [by_id] (ascending external id) —
-        the exact shares and output order of
-        [shares ~capacity (views in by_id order)]. *)
-    val shares_into :
-      state ->
-      capacity:F.t ->
-      n:int ->
-      by_id:int array ->
-      share:F.t array ->
-      order:int array ->
-      unit
-
-    (** A fresh state wrapped as the engine's kinetic interface. *)
-    val kinetic : use_weights:bool -> unit -> Mwct_runtime.Engine.Make(F).kinetic
-  end
-
-  (** The incremental counterpart of {!engine_policy} for the engine's
-      [?kinetic] slot (fresh state per call — states are per-engine);
-      [None] for policies without an incremental rule. *)
+  (** The incremental (kinetic) WDEQ/DEQ rule for the engine's
+      [?kinetic] slot, with a fresh state per call (states are
+      per-engine): the saturation-ratio order kept sorted across task
+      arrivals and departures, so each reshare is a set of linear
+      sweeps over flat float columns. Bit-identical to {!shares} by
+      contract; the list rule stays the oracle in the differential
+      tests. [None] for Equi and Priority_weight, and on every field
+      but float: exact engines reshare through {!shares}. *)
   val engine_kinetic : t -> Mwct_runtime.Engine.Make(F).kinetic option
-
-  (** One-shot incremental reshare over a view list, for differential
-      testing against [shares] on the same views sorted by id (the
-      order the engine feeds). [None] when the policy has no
-      incremental rule. *)
-  val shares_incremental : t -> capacity:F.t -> view list -> (int * F.t) list option
 end

@@ -860,62 +860,43 @@ module Make (F : Mwct_field.Field.S) = struct
   let non_finite target =
     Error (Invalid (Printf.sprintf "advance: target %s is not finite" (F.to_string target)))
 
-  let advance_to_generic t target : (notification list, error) result =
-    if not (Mwct_field.Field.is_finite F.witness target) then non_finite target
-    else if F.compare target (now t) < 0 then
-      Error
-        (Invalid
-           (Printf.sprintf "advance into the past (target %s < now %s)" (F.to_string target)
-              (F.to_string (now t))))
-    else begin
-      let notes = ref [] in
-      let stall = ref 0 in
-      let err = ref None in
-      let continue = ref true in
-      while !continue && !err = None do
-        recompute_if_dirty t;
-        match next_completion t with
-        | Some eta when F.compare eta target <= 0 ->
-          let completed =
-            match advance_and_sweep t eta with [] -> complete_pinned t | l -> l
-          in
-          notes := List.rev_append completed !notes;
-          if completed = [] then begin
-            incr stall;
-            if !stall > no_progress_budget then
-              err := Some (Invalid "no progress: completion estimate does not converge")
-          end
-          else stall := 0
-        | _ ->
-          (* No completion inside the window: land on the target. *)
-          let completed = advance_and_sweep t target in
-          notes := List.rev_append completed !notes;
-          continue := false
-      done;
-      match !err with Some e -> Error e | None -> Ok (List.rev !notes)
-    end
+  let advance_into_past target nowv =
+    Error
+      (Invalid
+         (Printf.sprintf "advance into the past (target %s < now %s)" (F.to_string target)
+            (F.to_string nowv)))
 
-  (* [~once] stops after the first step that completes something: the
-     completion instant of {!step}. *)
-  let drain_generic ~once t : (notification list, error) result =
-    let notes = ref [] in
-    let stall = ref 0 in
-    let err = ref None in
-    while t.nalive > 0 && !err = None && not (once && !notes <> []) do
-      recompute_if_dirty t;
-      match next_completion t with
-      | None -> err := Some (Invalid "deadlock: alive tasks but no positive share")
-      | Some eta ->
-        let completed = match advance_and_sweep t eta with [] -> complete_pinned t | l -> l in
-        notes := List.rev_append completed !notes;
-        if completed = [] then begin
-          incr stall;
-          if !stall > no_progress_budget then
-            err := Some (Invalid "no progress: completion estimate does not converge")
-        end
-        else stall := 0
-    done;
-    match !err with Some e -> Error e | None -> Ok (List.rev !notes)
+  (* The generic step loop, the twin of the float fast path's [run]:
+     with [Some target] it advances to the target, processing every
+     completion on the way, and lands on it; with [None] it drains the
+     alive set. [~once] (drain only) stops after the first step that
+     completes something: the completion instant of {!step}. *)
+  let run_generic t (target : F.t option) ~once : (notification list, error) result =
+    let rec go notes stall =
+      if Option.is_none target && t.nalive = 0 then Ok (List.rev notes)
+      else begin
+        recompute_if_dirty t;
+        match (next_completion t, target) with
+        | Some eta, None -> step eta notes stall
+        | Some eta, Some tg when F.compare eta tg <= 0 -> step eta notes stall
+        | _, Some tg ->
+          (* No completion inside the window: land on the target. *)
+          Ok (List.rev (List.rev_append (advance_and_sweep t tg) notes))
+        | None, None -> Error (Invalid "deadlock: alive tasks but no positive share")
+      end
+    and step eta notes stall =
+      let completed = match advance_and_sweep t eta with [] -> complete_pinned t | l -> l in
+      match completed with
+      | [] when stall >= no_progress_budget ->
+        Error (Invalid "no progress: completion estimate does not converge")
+      | [] -> go notes (stall + 1)
+      | _ when once -> Ok (List.rev (List.rev_append completed notes))
+      | _ -> go (List.rev_append completed notes) 0
+    in
+    match target with
+    | Some tg when not (Mwct_field.Field.is_finite F.witness tg) -> non_finite tg
+    | Some tg when F.compare tg (now t) < 0 -> advance_into_past tg (now t)
+    | _ -> go [] 0
 
   (* ---------- float fast path ---------- *)
 
@@ -1021,7 +1002,7 @@ module Make (F : Mwct_field.Field.S) = struct
         match acc with [] -> Ok [] | l -> Ok (List.rev l)
       in
       (* [once] (drain only) stops after the first step that completes
-         something, like [drain_generic]'s. *)
+         something, like [run_generic]'s. *)
       let rec run (t : t) (has_target : bool) (once : bool) acc stall =
         if (not has_target) && t.nalive = 0 then finish acc
         else begin
@@ -1064,11 +1045,7 @@ module Make (F : Mwct_field.Field.S) = struct
       let start (t : t) =
         let nowv = t.now_cell.(0) in
         if not (Float.is_finite t.fscratch.(0)) then non_finite t.fscratch.(0)
-        else if Float.compare t.fscratch.(0) nowv < 0 then
-          Error
-            (Invalid
-               (Printf.sprintf "advance into the past (target %s < now %s)"
-                  (F.to_string t.fscratch.(0)) (F.to_string nowv)))
+        else if Float.compare t.fscratch.(0) nowv < 0 then advance_into_past t.fscratch.(0) nowv
         else run t true false [] 0
       in
       Some
@@ -1091,7 +1068,7 @@ module Make (F : Mwct_field.Field.S) = struct
   let advance_to t target : (notification list, error) result =
     match float_ops with
     | Some ops when t.ncurved = 0 -> ops.f_advance_abs t target
-    | _ -> advance_to_generic t target
+    | _ -> run_generic t (Some target) ~once:false
 
   (** Run the alive set to completion. Fails with [Invalid "deadlock"]
       when alive tasks remain but none has a positive share (a policy
@@ -1099,7 +1076,7 @@ module Make (F : Mwct_field.Field.S) = struct
   let drain t : (notification list, error) result =
     match float_ops with
     | Some ops when t.ncurved = 0 -> ops.f_drain t false
-    | _ -> drain_generic ~once:false t
+    | _ -> run_generic t None ~once:false
 
   (** Advance to the next completion instant and close what completes
       there (every task whose remaining volume reaches zero at it); the
@@ -1108,7 +1085,7 @@ module Make (F : Mwct_field.Field.S) = struct
   let step t : (notification list, error) result =
     match float_ops with
     | Some ops when t.ncurved = 0 -> ops.f_drain t true
-    | _ -> drain_generic ~once:true t
+    | _ -> run_generic t None ~once:true
 
   (* ---------- input events ---------- *)
 
@@ -1217,7 +1194,7 @@ module Make (F : Mwct_field.Field.S) = struct
         else begin
           match float_ops with
           | Some ops when t.ncurved = 0 -> ops.f_advance_rel t dt
-          | _ -> advance_to_generic t (F.add (now t) dt)
+          | _ -> run_generic t (Some (F.add (now t) dt)) ~once:false
         end
       | Advance_to target -> advance_to t target
       | Drain -> drain t

@@ -33,7 +33,8 @@
     backslash-quote, double backslash, [\n], [\r], [\t] and [\u00XX]
     below 0x80, which covers everything the encoder emits) — the
     journal grammar needs nothing more, and the repo deliberately has
-    no JSON dependency. *)
+    no JSON dependency. It refuses a key given twice and anything but
+    blanks after the closing brace. *)
 
 module Make (F : Mwct_field.Field.S) = struct
   module En = Engine.Make (F)
@@ -155,10 +156,18 @@ module Make (F : Mwct_field.Field.S) = struct
 
   let parse_object (line : string) : (string * string) list =
     (* Returns raw values: strings are unescaped without quotes, other
-       scalars (numbers, true/false/null) verbatim. *)
+       scalars (numbers, true/false/null) verbatim. A key given twice
+       is refused rather than resolved: JSON leaves the choice open
+       (Python keeps the last, a first-match lookup the first). *)
     let n = String.length line in
     let pos = ref 0 in
     let fail msg = raise (Parse (Printf.sprintf "%s at column %d" msg !pos)) in
+    (* Is [k] already a key of [fields]? The length test spares most of
+       the C string compares on serve's per-line path. *)
+    let rec seen k = function
+      | [] -> false
+      | (k', _) :: l -> (String.length k = String.length k' && String.equal k k') || seen k l
+    in
     let skip_ws () = while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do incr pos done in
     let expect c =
       skip_ws ();
@@ -248,6 +257,7 @@ module Make (F : Mwct_field.Field.S) = struct
       let continue = ref true in
       while !continue do
         let k = parse_string () in
+        if seen k !fields then fail (Printf.sprintf "duplicate key %S" k);
         expect ':';
         let v = parse_scalar () in
         fields := (k, v) :: !fields;
@@ -259,6 +269,12 @@ module Make (F : Mwct_field.Field.S) = struct
         end
       done
     end;
+    (* Only blanks may follow the object: [load] reads with
+       [input_line], so a CRLF journal keeps its '\r'. *)
+    while !pos < n && (match line.[!pos] with ' ' | '\t' | '\r' -> true | _ -> false) do
+      incr pos
+    done;
+    if !pos < n then fail "trailing characters after the object";
     List.rev !fields
 
   (** Parse one line, surfacing the optional shard tag of a merged
@@ -349,25 +365,6 @@ module Make (F : Mwct_field.Field.S) = struct
     match of_line_tagged line with
     | Ok (seq, _, entry) -> Ok (seq, entry)
     | Error msg -> Error msg
-
-  (* ---------- writer ---------- *)
-
-  (** Append-only journal writer with its own monotonic sequence
-      counter. Lines are flushed as written, so a crash loses at most
-      the line being formatted. *)
-  type writer = { oc : out_channel; mutable next_seq : int }
-
-  let writer oc = { oc; next_seq = 0 }
-
-  (** Write one entry; returns the sequence number it was stamped
-      with. *)
-  let record (w : writer) (e : entry) : int =
-    let seq = w.next_seq in
-    w.next_seq <- seq + 1;
-    output_string w.oc (to_line ~seq e);
-    output_char w.oc '\n';
-    flush w.oc;
-    seq
 
   (* ---------- loading & replay ---------- *)
 

@@ -10,7 +10,12 @@
 
     Decimals come from [caml_format_float], the C primitive behind
     [Printf]'s ["%.12g"]: the same bytes, without interpreting a
-    format string on every call. *)
+    format string on every call. A decimal that is not finite is
+    written [null]: JSON has no literal for inf or nan.
+
+    The solver's pretty-printed report ([Driver.to_json], behind
+    [solve --json]) renders its numbers and strings with {!number} and
+    {!add_escaped} too. *)
 
 external format_float : string -> float -> string = "caml_format_float"
 
@@ -22,6 +27,11 @@ let key b k =
 
 (** A decimal rendering, exactly [Printf.sprintf "%.12g" x]. *)
 let decimal_string x = format_float "%.12g" x
+
+(** A JSON number: {!decimal_string} of a finite [x], and [null] for
+    inf and nan, which JSON has no literal for. A [_repr] member beside
+    it keeps the exact value. *)
+let number x = if Float.is_finite x then decimal_string x else "null"
 
 let hex_digit = "0123456789abcdef"
 
@@ -56,10 +66,10 @@ let int b k n =
   key b k;
   Buffer.add_string b (string_of_int n)
 
-(** [,"k":<%.12g>] — a decimal-only number (wall-clock gauges). *)
+(** [,"k":<number>] — a decimal-only number (wall-clock gauges). *)
 let decimal b k x =
   key b k;
-  Buffer.add_string b (decimal_string x)
+  Buffer.add_string b (number x)
 
 (** [,"k":"<escaped s>"] *)
 let string b k s =
@@ -68,9 +78,10 @@ let string b k s =
   add_escaped b s;
   Buffer.add_char b '"'
 
-(** The dual number field, [,"k":<decimal>,"k_repr":"<repr>"]: a
-    [%.12g] decimal for tooling beside the field's exact rendering
-    ({!Mwct_field.Field.S.repr}), which is what readers parse. *)
+(** The dual number field, [,"k":<number>,"k_repr":"<repr>"]: a
+    [%.12g] decimal ([null] when not finite) for tooling beside the
+    field's exact rendering ({!Mwct_field.Field.S.repr}), which is what
+    readers parse. *)
 let num b k x repr =
   decimal b k x;
   Buffer.add_string b ",\"";

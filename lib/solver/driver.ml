@@ -91,24 +91,13 @@ module Make (F : Mwct_field.Field.S) = struct
 
   (* ---------- JSON report ---------- *)
 
-  let json_escape s =
-    let buf = Buffer.create (String.length s) in
-    String.iter
-      (function
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let json_num x = Printf.sprintf "%.12g" x
-
   (** Machine-readable report. [~engine] labels the arithmetic
       ("float" / "exact"); numeric fields carry both a decimal [float]
-      rendering and the field's own [*_repr] string (exact rationals
-      survive the round trip). Timing is the only non-deterministic
-      field. *)
+      rendering ([null] when not finite) and the field's own [*_repr]
+      string (exact rationals survive the round trip). Strings and
+      numbers are rendered by the runtime's JSON encoder
+      ({!Mwct_runtime.Json_out}); the layout, one member per line, is
+      this report's own. Timing is the only non-deterministic field. *)
   let to_json ~engine (r : report) : string =
     let n = Array.length r.schedule.E.Types.instance.E.Types.tasks in
     (* Per-task completion times in task-index order: task [order.(j)]
@@ -116,43 +105,40 @@ module Make (F : Mwct_field.Field.S) = struct
     let completions =
       let c = Array.make n F.zero in
       Array.iteri (fun j ti -> c.(ti) <- r.schedule.E.Types.finish.(j)) r.schedule.E.Types.order;
-      c
+      Array.to_list c
     in
+    let quote s =
+      let b = Buffer.create (String.length s + 2) in
+      Buffer.add_char b '"';
+      Mwct_runtime.Json_out.add_escaped b s;
+      Buffer.add_char b '"';
+      Buffer.contents b
+    in
+    let num = Mwct_runtime.Json_out.number in
+    let array f xs = "[" ^ String.concat ", " (List.map f xs) ^ "]" in
     let fields =
       [
-        ("algo", Printf.sprintf "\"%s\"" (json_escape r.solver.Solver.name));
-        ( "caps",
-          Printf.sprintf "[%s]"
-            (String.concat ", "
-               (List.map (fun c -> Printf.sprintf "\"%s\"" (Solver.cap_to_string c)) r.solver.Solver.caps))
-        );
-        ("engine", Printf.sprintf "\"%s\"" (json_escape engine));
+        ("algo", quote r.solver.Solver.name);
+        ("caps", array (fun c -> quote (Solver.cap_to_string c)) r.solver.Solver.caps);
+        ("engine", quote engine);
         ("tasks", string_of_int n);
-        ("procs", json_num (F.to_float r.schedule.E.Types.instance.E.Types.procs));
-        ("objective", json_num (F.to_float r.objective));
-        ("objective_repr", Printf.sprintf "\"%s\"" (json_escape (F.to_string r.objective)));
-        ("makespan", json_num (F.to_float r.makespan));
-        ("makespan_repr", Printf.sprintf "\"%s\"" (json_escape (F.to_string r.makespan)));
-        ( "completions",
-          Printf.sprintf "[%s]"
-            (String.concat ", "
-               (List.map (fun c -> json_num (F.to_float c)) (Array.to_list completions))) );
-        ( "completions_repr",
-          Printf.sprintf "[%s]"
-            (String.concat ", "
-               (List.map
-                  (fun c -> Printf.sprintf "\"%s\"" (json_escape (F.to_string c)))
-                  (Array.to_list completions))) );
-        ("squashed_area", json_num (F.to_float r.squashed_area));
-        ("height_bound", json_num (F.to_float r.height_bound));
-        ("lower_bound", json_num (F.to_float r.lower_bound));
-        ("ratio_to_bound", match r.ratio_to_bound with Some x -> json_num x | None -> "null");
+        ("procs", num (F.to_float r.schedule.E.Types.instance.E.Types.procs));
+        ("objective", num (F.to_float r.objective));
+        ("objective_repr", quote (F.to_string r.objective));
+        ("makespan", num (F.to_float r.makespan));
+        ("makespan_repr", quote (F.to_string r.makespan));
+        ("completions", array (fun c -> num (F.to_float c)) completions);
+        ("completions_repr", array (fun c -> quote (F.to_string c)) completions);
+        ("squashed_area", num (F.to_float r.squashed_area));
+        ("height_bound", num (F.to_float r.height_bound));
+        ("lower_bound", num (F.to_float r.lower_bound));
+        ("ratio_to_bound", match r.ratio_to_bound with Some x -> num x | None -> "null");
         ("valid", string_of_bool (valid r));
         ( "violation",
           match r.check with
           | Ok () -> "null"
-          | Error v -> Printf.sprintf "\"%s\"" (json_escape (E.Schedule.violation_to_string v)) );
-        ("elapsed_s", json_num r.elapsed_s);
+          | Error v -> quote (E.Schedule.violation_to_string v) );
+        ("elapsed_s", num r.elapsed_s);
       ]
     in
     "{\n"

@@ -1,9 +1,8 @@
 (* Allocation budget for the engine's float hot path, and differential
-   tests for the incremental (kinetic) WDEQ frontier: a persistent
-   [Policy.Incremental] state driven through random add/remove streams
-   with engine-style slot reuse must reproduce the one-shot list kernel
-   and the core reference fixpoint after every mutation, on both
-   fields. *)
+   tests for the WDEQ/DEQ share rules over random add/remove streams
+   with engine-style slot reuse: after every mutation the list rule must
+   match the core reference fixpoint on both fields, and on float one
+   persistent kinetic state must reproduce the list rule bit for bit. *)
 
 module Rng = Mwct_util.Rng
 module FF = Mwct_field.Field.Float_field
@@ -122,49 +121,57 @@ let test_reshare_allclip () =
 
 module DH (F : Mwct_field.Field.S) = struct
   module P = Mwct_ncv.Policy.Make (F)
+  module En = Mwct_runtime.Engine.Make (F)
   module E = Mwct_core.Engine.Make (F)
 
-  (* Drive one persistent [Incremental.state] through [rounds] rounds
-     of random adds/removes (slots reused through a free list, exactly
-     as the engine does) and check the reshare after every round:
-     - [shares_into] output (order and values) = [P.shares] on the same
-       views in ascending-id order, bit-for-bit ([F.equal]);
-     - the one-shot [shares_incremental] wrapper agrees likewise;
-     - values match the core [shares_reference] fixpoint up to [eq]
-       (exact on rationals, 1e-9 on floats, as in test_kernels). *)
+  (* Drive a random stream of adds/removes through [rounds] rounds
+     (slots reused through a free list, exactly as the engine does) and
+     check the reshare after every round:
+     - [P.shares] on the alive views in ascending-id order matches the
+       core [shares_reference] fixpoint up to [eq] (exact on rationals,
+       1e-9 on floats, as in test_kernels);
+     - on float, one persistent kinetic state ([P.engine_kinetic], fed
+       the same adds and removes) fills the output order and values of
+       [P.shares], bit for bit ([F.equal]). Every other field has no
+       kinetic rule. *)
   let check_stream ~eq ~use_weights ~seed ~rounds =
     let pol = if use_weights then P.Wdeq else P.Deq in
-    let st = P.Incremental.create ~use_weights () in
+    let kinetic = P.engine_kinetic pol in
     let rng = Rng.create seed in
     let capacity = F.of_q (1 + Rng.int rng 16) 1 in
     let alive = ref [] (* (slot, view), unordered *)
     and free = ref []
     and used = ref 0
     and next_id = ref 0 in
-    let ok = ref true in
+    let ok =
+      ref
+        (match F.witness with
+        | Mwct_field.Field.Float -> Option.is_some kinetic
+        | Mwct_field.Field.Any -> Option.is_none kinetic)
+    in
     let check () =
       let by_id_views =
         List.sort (fun (_, (a : P.view)) (_, b) -> Stdlib.compare a.P.id b.P.id) !alive
       in
       let views = List.map snd by_id_views in
-      let n = List.length views in
-      let by_id = Array.of_list (List.map fst by_id_views) in
-      (* [share] is slot-indexed (slots can exceed [n] once the free
-         list recycles); [order] is position-indexed. *)
-      let share = Array.make (Stdlib.max !used 1) F.zero in
-      let order = Array.make (Stdlib.max n 1) 0 in
-      P.Incremental.shares_into st ~capacity ~n ~by_id ~share ~order;
-      let id_of_slot s = (snd (List.find (fun (sl, _) -> sl = s) !alive)).P.id in
-      let got = List.init n (fun k -> (id_of_slot order.(k), share.(order.(k)))) in
       let expected = P.shares pol ~capacity views in
-      let same_list a b =
-        List.length a = List.length b
-        && List.for_all2 (fun (i, x) (j, y) -> i = j && F.equal x y) a b
-      in
-      if not (same_list got expected) then ok := false;
-      (match P.shares_incremental pol ~capacity views with
-      | Some l -> if not (same_list l expected) then ok := false
-      | None -> ok := false);
+      Option.iter
+        (fun (kin : En.kinetic) ->
+          let n = List.length views in
+          let by_id = Array.of_list (List.map fst by_id_views) in
+          (* [share] is slot-indexed (slots can exceed [n] once the free
+             list recycles); [order] is position-indexed. *)
+          let share = Array.make (Stdlib.max !used 1) F.zero in
+          let order = Array.make (Stdlib.max n 1) 0 in
+          kin.En.k_shares ~capacity ~n ~by_id ~share ~order;
+          let id_of_slot s = (snd (List.find (fun (sl, _) -> sl = s) !alive)).P.id in
+          let got = List.init n (fun k -> (id_of_slot order.(k), share.(order.(k)))) in
+          if
+            not
+              (List.length got = List.length expected
+              && List.for_all2 (fun (i, x) (j, y) -> i = j && F.equal x y) got expected)
+          then ok := false)
+        kinetic;
       let sorted = List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) in
       let reference =
         sorted
@@ -173,11 +180,11 @@ module DH (F : Mwct_field.Field.S) = struct
                 (fun (v : P.view) -> (v.P.id, (if use_weights then v.P.weight else F.one), v.P.cap))
                 views))
       in
-      let got_sorted = sorted got in
+      let listed = sorted expected in
       if
         not
-          (List.length got_sorted = List.length reference
-          && List.for_all2 (fun (i, x) (j, y) -> i = j && eq x y) got_sorted reference)
+          (List.length listed = List.length reference
+          && List.for_all2 (fun (i, x) (j, y) -> i = j && eq x y) listed reference)
       then ok := false
     in
     for _ = 1 to rounds do
@@ -200,7 +207,9 @@ module DH (F : Mwct_field.Field.S) = struct
           }
         in
         incr next_id;
-        P.Incremental.add st ~slot ~id:v.P.id ~weight:v.P.weight ~cap:v.P.cap;
+        Option.iter
+          (fun (k : En.kinetic) -> k.En.k_add ~slot ~id:v.P.id ~weight:v.P.weight ~cap:v.P.cap)
+          kinetic;
         alive := (slot, v) :: !alive
       done;
       if Rng.int rng 3 = 0 then begin
@@ -209,7 +218,7 @@ module DH (F : Mwct_field.Field.S) = struct
         | l ->
           let k = Rng.int rng (List.length l) in
           let slot, _ = List.nth l k in
-          P.Incremental.remove st ~slot;
+          Option.iter (fun (k : En.kinetic) -> k.En.k_remove ~slot) kinetic;
           alive := List.filter (fun (s, _) -> s <> slot) l;
           free := slot :: !free
       end;
@@ -263,8 +272,8 @@ let prop_incremental_float =
         ~eq:(fun a b -> Float.abs (a -. b) < 1e-9)
         ~use_weights:(seed mod 2 = 0) ~seed ~rounds:25)
 
-let prop_incremental_exact =
-  QCheck2.Test.make ~count:40 ~name:"incremental WDEQ/DEQ = list kernel = reference (exact)"
+let prop_list_exact =
+  QCheck2.Test.make ~count:40 ~name:"list WDEQ/DEQ = reference, no kinetic rule (exact)"
     ~print:string_of_int
     QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
@@ -293,7 +302,7 @@ let () =
       ( "incremental-frontier",
         [
           p prop_incremental_float;
-          p prop_incremental_exact;
+          p prop_list_exact;
           Alcotest.test_case "intransitive float ratios" `Quick test_intransitive_ratios;
         ] );
     ]

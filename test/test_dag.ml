@@ -280,8 +280,9 @@ let prop_zero_edge_identity =
 
 (* The batch frontier schedule against the online engine's dormant ->
    alive lifecycle: every task submitted at time 0 (parents listed as
-   deps) to a kinetic engine and drained must complete at exactly the
-   batch completion time, on the exact field, for WDEQ and DEQ. *)
+   deps) to an engine and drained must complete at exactly the batch
+   completion time, on the exact field (where the engine reshares
+   through the list rule), for WDEQ and DEQ. *)
 module EnQ = Mwct_runtime.Engine.Make (Mwct_rational.Rational.Rat_field)
 module SimQ = Mwct_ncv.Simulator.Make (Mwct_rational.Rational.Rat_field)
 

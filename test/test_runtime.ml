@@ -134,8 +134,8 @@ module H (F : Mwct_field.Field.S) = struct
       (journal_lines e1) (journal_lines e2);
     Alcotest.(check string) "kinetic dump" d1 d2
 
-  (* The kinetic WDEQ engine over one random stream: its journal lines
-     and final dump. *)
+  (* The WDEQ engine over one random stream, with the kinetic rule
+     where the field has one: its journal lines and final dump. *)
   let kinetic_run ~seed spec =
     let e, d =
       random_stream ?kinetic:(Sim.P.engine_kinetic Sim.P.Wdeq) ~seed (E.Instance.of_spec spec)
@@ -147,8 +147,9 @@ module HF = H (Mwct_field.Field.Float_field)
 module HQ = H (Mwct_rational.Rational.Rat_field)
 
 (* The float field answering [Any] to the witness match: an engine
-   over it runs the generic advance, commit and kinetic bodies on float
-   arithmetic, the reference for the monomorphic float kernels. *)
+   over it runs the generic step loop and commit body and, having no
+   kinetic rule, reshares through the list rule, all on float
+   arithmetic: the reference for the monomorphic float kernels. *)
 module Float_any = struct
   include Mwct_field.Field.Float_field
 
@@ -230,18 +231,9 @@ let prop_kinetic_identity_float =
       HF.check_kinetic_identity ~seed:(Hashtbl.hash spec) inst;
       true)
 
-let prop_kinetic_identity_exact =
-  QCheck2.Test.make ~count:40 ~name:"kinetic engine = list engine (exact)"
-    ~print:Support.print_spec
-    (Support.gen_spec ~max_n:5 `Mixed)
-    (fun spec ->
-      let inst = Support.qinst spec in
-      HQ.check_kinetic_identity ~seed:(Hashtbl.hash spec) inst;
-      true)
-
 (* The monomorphic float kernels (advance, commit, kinetic reshare)
-   against the generic bodies on the same float arithmetic: journal
-   bytes and final dumps must be identical. *)
+   against the generic step loop and the list rule on the same float
+   arithmetic: journal bytes and final dumps must be identical. *)
 let prop_float_kernels_identity =
   QCheck2.Test.make ~count:80 ~name:"float kernels = generic bodies (float)"
     ~print:Support.print_spec
@@ -603,6 +595,78 @@ let test_journal_bytes_pinned () =
   Alcotest.(check string) "diurnal stream digest" "834c61aa65771e581608495d9f3376c9"
     (Digest.to_hex (Digest.string (String.concat "\n" lines)))
 
+(* ---------- codec edges ---------- *)
+
+(* JSON has no literal for inf or nan: a decimal member that is not
+   finite is written [null], and the [_repr] beside it keeps the value,
+   which is what the decoder reads. *)
+let test_non_finite_decimals () =
+  let contains line sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length line && (String.sub line i n = sub || go (i + 1)) in
+    if not (go 0) then Alcotest.failf "%S lacks %S" line sub
+  in
+  (* float: Σw·C of one task overflows *)
+  let eng = HF.En.create ~capacity:4. ~policy:HF.wdeq_policy () in
+  ignore
+    (HF.ok
+       (HF.En.apply eng
+          (HF.En.Submit
+             { id = 0; volume = 1e300; weight = 1e300; cap = 1e300; speedup = None; deps = [] })));
+  ignore (HF.ok (HF.En.apply eng HF.En.Drain));
+  contains (HF.En.metrics_json eng) {|"sum_wc":null,"sum_wc_repr":"infinity"|};
+  (* exact: 10^400 has no float *)
+  let digits = "1" ^ String.make 400 '0' in
+  let big = Option.get (Support.Q.Rat_field.of_repr digits) in
+  let line = HQ.J.to_line ~seq:1 (HQ.J.Input (HQ.En.Advance big)) in
+  Alcotest.(check string) "exact advance line"
+    (Printf.sprintf {|{"seq":1,"type":"advance","dt":null,"dt_repr":"%s"}|} digits)
+    line;
+  (match HQ.J.of_line line with
+  | Ok (1, HQ.J.Input (HQ.En.Advance dt)) when Support.Q.equal dt big -> ()
+  | _ -> Alcotest.failf "%S does not read back" line);
+  let b = Buffer.create 16 in
+  Mwct_runtime.Json_out.decimal b "x" Float.nan;
+  Mwct_runtime.Json_out.decimal b "y" Float.neg_infinity;
+  Alcotest.(check string) "decimal-only members" {|,"x":null,"y":null|} (Buffer.contents b)
+
+(* The decoder refuses what a strict JSON reader would read otherwise:
+   bytes after the closing brace (only blanks may follow; [load] keeps
+   a CRLF journal's '\r') and a key given twice, which Python resolves
+   to the last value and a first-match lookup to the first. *)
+let test_decoder_strict () =
+  List.iter
+    (fun line ->
+      match HF.J.of_line line with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted %S" line)
+    [
+      {|{"seq":1,"type":"drain"} trailing junk|};
+      {|{"seq":1,"type":"drain"}}|};
+      {|{"seq":1,"type":"drain"},|};
+      {|{"seq":1,"type":"advance","dt":1,"dt":5}|};
+      {|{"seq":1,"type":"advance","dt_repr":"0x1p+0","dt_repr":"0x1.4p+2"}|};
+      {|{"seq":1,"seq":2,"type":"drain"}|};
+    ];
+  List.iter
+    (fun line ->
+      match HF.J.of_line line with
+      | Ok (1, HF.J.Input HF.En.Drain) -> ()
+      | Ok _ -> Alcotest.failf "%S: wrong entry" line
+      | Error msg -> Alcotest.failf "refused %S: %s" line msg)
+    [ {|{"seq":1,"type":"drain"} |}; "{\"seq\":1,\"type\":\"drain\"}\t\r"; "{\"seq\":1,\"type\":\"drain\"}\r" ];
+  let path = Filename.temp_file "crlf" ".jsonl" in
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter
+        (fun e -> output_string oc (HF.J.to_line ~seq:0 e ^ "\r\n"))
+        [ HF.J.Init { capacity = 2.; policy = "wdeq" } ]);
+  let loaded = HF.J.load path in
+  Sys.remove path;
+  match loaded with
+  | Ok [ (0, HF.J.Init _) ] -> ()
+  | Ok _ -> Alcotest.fail "CRLF journal: wrong entries"
+  | Error msg -> Alcotest.failf "CRLF journal refused: %s" msg
+
 let () =
   let p = QCheck_alcotest.to_alcotest in
   Alcotest.run "runtime"
@@ -619,11 +683,13 @@ let () =
           p prop_replay_roundtrip_exact;
           Alcotest.test_case "replay rejects corruption" `Quick test_replay_rejects_corruption;
           Alcotest.test_case "bytes pinned, every entry kind" `Quick test_journal_bytes_pinned;
+          Alcotest.test_case "non-finite decimals written null" `Quick test_non_finite_decimals;
+          Alcotest.test_case "trailing bytes and duplicate keys refused" `Quick
+            test_decoder_strict;
         ] );
       ( "bit-identity",
         [
           p prop_kinetic_identity_float;
-          p prop_kinetic_identity_exact;
           p prop_float_kernels_identity;
           Alcotest.test_case "kinetic = list at churn scale, bytes pinned" `Quick
             test_churn_identity;

@@ -167,12 +167,29 @@ let test_clean_streams () =
       done)
     [ (1, false); (1, true); (2, false); (2, true) ]
 
+(* A journal line with bytes after its closing brace, or with a key
+   given twice, is refused with one error line and leaves the store as
+   it was ([run] checks the dump); a trailing CR is a blank. *)
+let test_malformed_journal_lines () =
+  match FF.jsonl_lines (FF.events ~seed:0 ~deps:false) with
+  | init :: first :: rest ->
+    let bad =
+      [ {|{"seq":900,"type":"drain"} trailing junk|}; {|{"seq":901,"type":"advance","dt":1,"dt":5}|} ]
+    in
+    List.iter
+      (fun nshards ->
+        Alcotest.(check int) "one error line each" 2 (FF.run ~nshards ((init :: first :: bad) @ rest));
+        Alcotest.(check int) "trailing CR" 0 (FF.run ~nshards (init :: (first ^ "\r") :: rest)))
+      [ 1; 2 ]
+  | _ -> Alcotest.fail "stream too short"
+
 let () =
   Alcotest.run "serve"
     [
       ( "boundary",
         [
           Alcotest.test_case "clean streams" `Quick test_clean_streams;
+          Alcotest.test_case "malformed journal lines refused" `Quick test_malformed_journal_lines;
           Alcotest.test_case "mutated lines (float)" `Quick (fun () -> check (FF.sweep ~cases:800));
           Alcotest.test_case "mutated lines (exact)" `Quick (fun () -> check (FQ.sweep ~cases:300));
         ] );

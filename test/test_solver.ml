@@ -263,6 +263,27 @@ let test_json_completions () =
   in
   Alcotest.(check bool) ("json contains " ^ expected_repr) true (contains expected_repr)
 
+(* The report is strict JSON: strings go through the runtime's escape
+   (control bytes included), and a number that is not finite is
+   written [null]. *)
+let test_json_strict () =
+  let inst = fi () in
+  let r = DF.run (SF.find_exn "wdeq") inst in
+  let json =
+    DF.to_json ~engine:"tab\there\001"
+      { r with DF.objective = Float.infinity; ratio_to_bound = Some Float.nan }
+  in
+  let contains needle =
+    let nl = String.length needle and hl = String.length json in
+    let rec go i = i + nl <= hl && (String.sub json i nl = needle || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun needle -> Alcotest.(check bool) ("json contains " ^ needle) true (contains needle))
+    [ {|"engine": "tab\there\u0001"|}; {|"objective": null|}; {|"ratio_to_bound": null|} ];
+  Alcotest.(check bool) "no raw control byte but the layout's newlines" true
+    (String.for_all (fun c -> c = '\n' || Char.code c >= 0x20) json)
+
 let () =
   Alcotest.run "solver"
     [
@@ -286,5 +307,6 @@ let () =
           Alcotest.test_case "exact strict report" `Quick test_driver_exact;
           Alcotest.test_case "json report" `Quick test_json;
           Alcotest.test_case "json completions array" `Quick test_json_completions;
+          Alcotest.test_case "json report is strict" `Quick test_json_strict;
         ] );
     ]
